@@ -3,9 +3,10 @@
 Covers the generic decoder bound and its soft-threshold scan, the tolerable-
 weight bound, the absorbing-walk recurrence, its large-N slope and its bound,
 the early-time bound, the flip-probability lower bound, the effective
-late-time rates, the run-length violation probability (asymptote and
-renewal-series quadrature), and the perturbative dephasing shift for ring and
-torus recoveries with a brute-force enumeration oracle.
+late-time rates, the run-length violation probability (asymptote, and the
+exact value from the run-length Markov chain's matrix exponential), and the
+perturbative dephasing shift for ring and torus recoveries with a brute-force
+enumeration oracle.
 
 All evaluators are pure, accept scalar or array time arguments, and raise
 ValueError for missing or out-of-domain parameters instead of returning NaN.
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.special import gammainc, gammaln
-from scipy.stats import poisson
+from scipy.linalg import expm
+from scipy.special import gammainc
 
 __all__ = [
     "BoundInputs",
@@ -46,8 +47,6 @@ __all__ = [
     "leading_exponent",
     "recurrence_slope_limit",
 ]
-
-QUADRATURE_M_MAX = 40  # beyond this many recovery rounds, sample instead
 
 
 @dataclass(frozen=True)
@@ -167,8 +166,9 @@ def theorem2_bound(inputs: BoundInputs, t):
 class RecurrenceSolution:
     """Absorption probabilities s_v normalized to s_{h+1} = 1.
 
-    s underflows to zero for deep levels at large N; log_s carries the exact
-    logarithms from the rescaled sweep.  log_s1 = log_s[1].
+    s underflows to zero for deep levels at large N; log_s carries the
+    logarithms, summed from the ratios q_v = s_v / s_{v+1}, which never
+    underflow.  log_s1 = log_s[1].
     """
 
     s: np.ndarray
@@ -179,42 +179,26 @@ class RecurrenceSolution:
         return float(self.log_s[1])
 
 
-_RESCALE = 1e250
-_LOG_RESCALE = math.log(_RESCALE)
-
-
 def solve_recurrence(h: int, n: int, p1: float) -> RecurrenceSolution:
     """Solve s_v = (v/n) p1 s_{v-1} + (1 - v/n) p1 s_{v+1}, s_0 = 0, s_{h+1} = 1.
 
-    Forward sweep seeded with s_1 = 1, normalized by the final s_{h+1}.  The
-    raw values span thousands of orders of magnitude at large n, so each entry
-    is stored as a mantissa plus a count of 1e250 rescalings; logs are exact.
+    Ratio sweep: q_v = s_v / s_{v+1} obeys q_0 = 0 and
+    q_v = (1 - v/n) p1 / (1 - (v/n) p1 q_{v-1}), every term positive and
+    q_v <= 1, so there is no cancellation; log s_v = sum_{u >= v} log q_u.
     """
     if h < 0 or h >= n:
         raise ValueError("need 0 <= h < n")
     if not 0 < p1 <= 1:
         raise ValueError("p1 must lie in (0, 1]")
-    if h == 0:
-        return RecurrenceSolution(s=np.array([0.0, 1.0]), log_s=np.array([-math.inf, 0.0]))
-    mant = np.empty(h + 2)
-    shift = np.empty(h + 2, dtype=np.int64)
-    mant[0], shift[0] = 0.0, 0
-    mant[1], shift[1] = 1.0, 0
+    log_q = []
+    q = 0.0
     for v in range(1, h + 1):
         down = (v / n) * p1
-        up = (1 - v / n) * p1
-        prev = mant[v - 1] * _RESCALE ** float(shift[v - 1] - shift[v])
-        nxt = (mant[v] - down * prev) / up
-        if nxt <= 0:
-            raise ArithmeticError("sweep lost positivity; recurrence is unstable here")
-        sh = shift[v]
-        while nxt > _RESCALE:
-            nxt /= _RESCALE
-            sh += 1
-        mant[v + 1], shift[v + 1] = nxt, sh
-    log_raw = np.where(mant > 0, np.log(np.maximum(mant, 1e-300)), -math.inf)
-    log_raw += shift * _LOG_RESCALE
-    log_s = log_raw - log_raw[h + 1]
+        q = (p1 - down) / (1.0 - down * q)
+        log_q.append(math.log(q))
+    log_s = np.zeros(h + 2)
+    log_s[0] = -math.inf
+    log_s[1:h + 1] = np.cumsum(log_q[::-1])[::-1]
     with np.errstate(under="ignore"):
         s = np.exp(log_s)
     return RecurrenceSolution(s=s, log_s=log_s)
@@ -306,84 +290,34 @@ def p_asymptotic(inputs: BoundInputs, t):
     return out if out.ndim else float(out)
 
 
-def _violation_series(ell: int, kappa: float, nd: float, times: np.ndarray,
-                      m_max: int) -> np.ndarray:
-    """1 - sum_m W_m(T) where W_m is the probability of exactly m recoveries
-    with every inter-recovery window holding at most ell errors.
+def p_exact_quadrature(inputs: BoundInputs, t):
+    """Exact run-length violation probability from a Markov chain.
 
-    W_0(T) = e^(-kappa T) s(T); W_m = (kappa e^(-kappa u) s(u)) * W_{m-1},
-    with s(u) the window survival.  In rescaled time T' = (kappa + N Delta) T
-    every W_m is an exponential polynomial sum_k c_k e^(-T') T'^k / k!, and
-    convolution is a coefficient convolution shifted by one.  Coefficients
-    are nonnegative, so the evaluation is cancellation-free and the only
-    error is the m_max series truncation.
-    """
-    gamma = kappa + nd
-    k_scaled = kappa / gamma
-    n_scaled = nd / gamma
-    ts = gamma * times
-    base = n_scaled ** np.arange(ell + 1)
-    kernel = k_scaled * base
-    coeff = np.zeros(m_max * (ell + 2) + ell + 1)
-    coeff[:ell + 1] = base
-    w = base
-    for _ in range(m_max):
-        w = np.convolve(kernel, w)
-        coeff[1:len(w) + 1] += w  # shift by one: the T^(i+j+1) beta integral
-        w = np.concatenate(([0.0], w))
-    if not np.isfinite(coeff).all():
-        raise RuntimeError("series coefficients overflowed; rates too disparate")
-    k = np.arange(len(coeff))
-    with np.errstate(divide="ignore", under="ignore"):
-        log_basis = np.outer(np.log(ts), k) - gammaln(k + 1)[None, :] - ts[:, None]
-    survival = np.exp(log_basis) @ coeff
-    return np.clip(1.0 - survival, 0.0, 1.0)
-
-
-def p_exact_quadrature(inputs: BoundInputs, t, m_max: int = None):
-    """Run-length violation probability from the renewal series.
-
-    The series is summed until the Poisson(kappa t) tail beyond m_max is
-    below 1e-10 (m_max computed per point when not given).  Terms are exact
-    exponential polynomials, so the result carries no discretization error.
-    Horizons needing more than 40 recovery rounds fall back to the
-    trajectory sampler.
+    States 0..ell count the errors since the last recovery and ell+1 is the
+    absorbing violation; errors move k -> k+1 at rate N Delta and recoveries
+    move k -> 0 at rate kappa.  p(t) is entry (0, ell+1) of expm(Q t)
+    (scaling and squaring, Al-Mohy & Higham 2009), for every kappa >= 0.
+    Against a 50-digit evaluation of the same chain at kappa = N Delta = 1,
+    ell in {2, 6, 10} and t in [0.1, 60], the relative error is at most
+    9e-14, except 8e-9 at ell = 10, t = 0.1, where p = 2.1e-19.  The error
+    is small against the largest entries of expm(Q t), not against p, so it
+    grows as p falls further: 2e-3 at p = 4e-25 and a factor 25 at
+    p = 2.5e-41 (ell = 10, t = 0.03 and 0.001).
     """
     inputs.require("ell", "kappa", "delta", "n_channels")
+    if not float(inputs.ell).is_integer():
+        raise ValueError("ell must be a nonnegative integer")
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(times < 0):
         raise ValueError("t must be nonnegative")
-    nd = inputs.total_rate
-    out = np.zeros(len(times))
-    live = (times > 0) & (nd > 0)
-    if inputs.kappa == 0.0:
-        out[live] = gammainc(inputs.ell + 1, nd * times[live])
-        return out if np.ndim(t) else float(out[0])
-    if m_max is not None:
-        needs = np.full(len(times), m_max)
-    else:
-        needs = poisson.isf(1e-10, inputs.kappa * times).astype(int) + 1
-    exact = live & (needs <= QUADRATURE_M_MAX)
-    for i in np.nonzero(live & ~exact)[0]:
-        out[i] = _violation_mc_fallback(inputs, times[i])
-    if exact.any():
-        out[exact] = _violation_series(inputs.ell, inputs.kappa, nd,
-                                       times[exact], int(needs[exact].max()))
+    ell = int(inputs.ell)
+    q = np.zeros((ell + 2, ell + 2))
+    k = np.arange(ell + 1)
+    q[k, k + 1] = inputs.total_rate
+    q[k[1:], 0] = inputs.kappa
+    q[k, k] = -q[k].sum(axis=1)
+    out = expm(times[:, None, None] * q)[:, 0, ell + 1]
     return out if np.ndim(t) else float(out[0])
-
-
-_FALLBACK_SAMPLES = 1 << 24
-_FALLBACK_SEED = 292_929
-
-
-def _violation_mc_fallback(inputs: BoundInputs, horizon: float) -> float:
-    from .trajectories import PoissonParams, estimate_faithful_violation
-
-    params = PoissonParams(kappa=inputs.kappa, delta=inputs.delta,
-                           n_channels=int(inputs.n_channels))
-    res = estimate_faithful_violation(inputs.ell, params, [horizon],
-                                      _FALLBACK_SAMPLES, seed=_FALLBACK_SEED)
-    return float(res.estimate[0])
 
 
 def ols_line(x, y) -> tuple:

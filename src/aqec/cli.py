@@ -39,7 +39,11 @@ def _cell(row, key):
     if value is None or str(value).strip() == "":
         return None
     value = float(value)
-    return int(value) if key in _INT_FIELDS else value
+    if key not in _INT_FIELDS:
+        return value
+    if not value.is_integer():
+        raise ValueError(f"column {key!r} needs an integer, got {row[key]!r}")
+    return int(value)
 
 
 def _eval_bounds_row(row):

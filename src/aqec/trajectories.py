@@ -255,6 +255,19 @@ class MonteCarloEstimate:
                    "n_samples": self.n_samples, "seed": self.seed}
 
 
+def _binomial_stderr(est, n_samples: int) -> np.ndarray:
+    """Binomial standard error sqrt(p (1 - p) / n), p clipped to [1/2n, 1 - 1/2n].
+
+    Unclipped, an estimate of 0 or 1 reports 0 and a sigma comparison turns
+    into an equality test; half a count keeps the error bar near sqrt(1/2)/n
+    there.  Estimates strictly inside (0, 1) are at least 1/n from either end
+    and keep their value.
+    """
+    n = max(n_samples, 1)
+    p = np.clip(est, 0.5 / n, 1 - 0.5 / n)
+    return np.sqrt(p * (1 - p) / n)
+
+
 def _shard_sizes(n_samples: int, shard: int):
     full, rem = divmod(n_samples, shard)
     return [shard] * full + ([rem] if rem else [])
@@ -304,7 +317,7 @@ def estimate_epsilon(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     rates = fails / n_samples
     family = np.argmax(rates, axis=0)
     est = rates[family, np.arange(len(times))]
-    stderr = np.sqrt(est * (1 - est) / n_samples)
+    stderr = _binomial_stderr(est, n_samples)
     return MonteCarloEstimate(times=times, estimate=est, stderr=stderr,
                               n_samples=n_samples, seed=seed, per_family=rates)
 
@@ -326,7 +339,7 @@ def estimate_alpha(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
                             sizes, seed, "alpha")
     fails = sum(_run_shards(worker, len(sizes), workers))
     est = fails[0] / n_samples  # Z-family row
-    stderr = np.sqrt(est * (1 - est) / n_samples)
+    stderr = _binomial_stderr(est, n_samples)
     return MonteCarloEstimate(times=np.asarray([tau]), estimate=est, stderr=stderr,
                               n_samples=n_samples, seed=seed)
 
@@ -493,6 +506,6 @@ def estimate_faithful_violation(ell: int, params: PoissonParams, times,
     parts = _run_shards(worker, len(sizes), workers)
     counts = sum(parts) if parts else np.zeros(len(times), dtype=np.int64)
     est = counts / n_samples if n_samples else np.zeros(len(times))
-    stderr = np.sqrt(est * (1 - est) / max(n_samples, 1))
+    stderr = _binomial_stderr(est, n_samples)
     return MonteCarloEstimate(times=times, estimate=est, stderr=stderr,
                               n_samples=n_samples, seed=seed)

@@ -130,7 +130,7 @@ def test_exact_versus_frame_monte_carlo_five_qubit(five_qubit):
 
 
 def test_rare_violation_sampler_slope_and_quadrature():
-    # criterion 2: sampler vs renewal-series values, then the late-time slope
+    # criterion 2: sampler vs exact chain values, then the late-time slope
     inputs = BoundInputs(ell=6, kappa=1.0, delta=1.0, n_channels=1)
     params = PoissonParams(kappa=1.0, delta=1.0, n_channels=1)
     rels = {}
@@ -155,7 +155,7 @@ def test_rare_violation_sampler_slope_and_quadrature():
     ok = ok_quad and ok_box and ok_slope
     _report(2, "rare_violation_sampler", ok,
             f"max rel dev {max(rels.values()):.4f}, slope {slope:.6f} vs {target:.6f}")
-    assert ok_quad, f"sampler vs series relative deviations {rels}"
+    assert ok_quad, f"sampler vs exact relative deviations {rels}"
     assert ok_box, "sampled curve must stay positive and below the power bound"
     assert ok_slope, f"late slope {slope:.6f} vs {target:.6f} outside 10%"
 

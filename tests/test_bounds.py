@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import solve_banded
 from scipy.special import gammainc
 
 from aqec.bounds import (
@@ -180,21 +181,26 @@ def test_solve_recurrence_matches_walk_mc():
         assert abs(got - want) <= 3 * sigma + 1e-9
 
 
-def _ratio_form_log_s1(h, n, p1):
-    # q_v = s_v / s_{v+1} = u_v / (1 - d_v q_{v-1}), q_0 = 0; log s1 = sum log q_v
-    q, logs = 0.0, []
-    for v in range(1, h + 1):
-        q = (1 - v / n) * p1 / (1 - (v / n) * p1 * q)
-        logs.append(math.log(q))
-    return math.fsum(logs)
+def _banded_log_s(h, n, p1):
+    # s_v - (v/n) p1 s_{v-1} - (1 - v/n) p1 s_{v+1} = 0 for v = 1..h, with
+    # s_0 = 0 and s_{h+1} = 1 moved to the right-hand side
+    v = np.arange(1, h + 1)
+    bands = np.zeros((3, h))
+    bands[0, 1:] = -(1 - v[:-1] / n) * p1
+    bands[1] = 1.0
+    bands[2, :-1] = -(v[1:] / n) * p1
+    rhs = np.zeros(h)
+    rhs[-1] = (1 - h / n) * p1
+    return np.log(solve_banded((1, 1), bands, rhs))
 
 
-def test_solve_recurrence_matches_ratio_form():
-    n, h = 100_000, 40_000
-    for kd in (2.0, 4.0, 8.0):
-        p1 = 1.0 / (1.0 + kd / n)
-        assert solve_recurrence(h, n, p1).log_s1 == pytest.approx(
-            _ratio_form_log_s1(h, n, p1), rel=1e-12)
+def test_solve_recurrence_matches_banded_solve():
+    cases = [(3, 10, 0.85), (40, 200, 0.99), (400, 1000, 0.6)]
+    cases += [(2000, 5000, 1.0 / (1.0 + kd / 5000)) for kd in (2.0, 8.0)]
+    for h, n, p1 in cases:
+        want = _banded_log_s(h, n, p1)
+        got = solve_recurrence(h, n, p1).log_s[1:h + 1]
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_recurrence_slope_limit_closed_form():
@@ -293,6 +299,46 @@ def test_delta_eff_values():
     assert delta_eff(BoundInputs(ell=3, kappa=1.0, delta=0.0, n_channels=1)) == 0.0
 
 
+def _violation_uniformized(ell, kappa, nd, t):
+    # the run-length chain uniformized at rate kappa + N Delta: p(t) is
+    # sum_m Poisson(m; rate t) [P^m]_(0, ell+1), a sum of nonnegative terms
+    rate = kappa + nd
+    step = np.zeros((ell + 2, ell + 2))
+    for k in range(ell + 1):
+        step[k, k + 1] = nd / rate
+        step[k, 0] += kappa / rate
+    step[ell + 1, ell + 1] = 1.0
+    row = np.zeros(ell + 2)
+    row[0] = 1.0
+    lam = rate * t
+    terms = []
+    for m in range(int(lam + 20 * math.sqrt(lam)) + 60):
+        terms.append(math.exp(m * math.log(lam) - lam - math.lgamma(m + 1)) * row[-1])
+        row = row @ step
+    return math.fsum(terms)
+
+
+def test_p_exact_quadrature_matches_uniformization():
+    # p down to 2e-19, and horizons of up to 60 mean recovery times
+    bi = {ell: BoundInputs(ell=ell, kappa=1.0, delta=1.0, n_channels=1) for ell in (6, 10)}
+    for ell, t in ((6, 0.1), (10, 0.1), (10, 1.0), (6, 12.0), (6, 60.0)):
+        want = _violation_uniformized(ell, 1.0, 1.0, t)
+        assert p_exact_quadrature(bi[ell], t) == pytest.approx(want, rel=1e-6)
+    assert _violation_uniformized(10, 1.0, 1.0, 0.1) < 1e-18
+    times = np.array([0.5, 3.0, 9.0])
+    bi2 = BoundInputs(ell=3, kappa=2.5, delta=0.3, n_channels=2)
+    want = [_violation_uniformized(3, 2.5, 0.6, t) for t in times]
+    assert p_exact_quadrature(bi2, times) == pytest.approx(want, rel=1e-6)
+
+
+def test_p_exact_quadrature_rejects_fractional_ell():
+    rates = dict(kappa=1.0, delta=1.0, n_channels=1)
+    with pytest.raises(ValueError, match="ell must be a nonnegative integer"):
+        p_exact_quadrature(BoundInputs(ell=2.5, **rates), 1.0)
+    assert p_exact_quadrature(BoundInputs(ell=2.0, **rates), 1.0) \
+        == p_exact_quadrature(BoundInputs(ell=2, **rates), 1.0)
+
+
 def test_p_exact_quadrature_closed_forms():
     # ell = 0 collapses to 1 - e^(-N Delta t) for every recovery rate
     for kappa in (0.0, 0.7, 3.0):
@@ -322,22 +368,22 @@ def test_p_exact_quadrature_matches_sampler():
         assert abs(v - est) <= 4 * se
 
 
-def test_p_exact_quadrature_mc_fallback():
-    # beyond 40 recovery rounds the evaluator defers to the sampler
+def test_p_exact_quadrature_past_forty_rounds_matches_sampler():
+    # a horizon of 20 mean recovery times; p(20) is exact, so sigma is the
+    # sampler's alone
     bi = BoundInputs(ell=6, kappa=1.0, delta=1.0, n_channels=1)
     far = p_exact_quadrature(bi, 20.0)
     near = p_exact_quadrature(bi, 11.0)
     assert far > near
     params = PoissonParams(kappa=1.0, delta=1.0, n_channels=1)
     mc = estimate_faithful_violation(6, params, [20.0], 1 << 22, seed=99)
-    sigma = math.sqrt(far * (1 - far) / (1 << 24))
-    assert abs(far - mc.estimate[0]) <= 4 * math.hypot(sigma, mc.stderr[0])
+    assert abs(far - mc.estimate[0]) <= 4 * mc.stderr[0]
 
 
 def test_p_asymptotic_late_agreement():
     # 1 - e^(-Delta_eff t) overshoots the true violation probability by ~30%
     # at kappa t = 10 and approaches it from above; the 10% band is reached
-    # near kappa t = 21.  Checked against the exact series at 10 and against
+    # near kappa t = 21.  Checked against the exact chain at 10 and against
     # the sampler at 25.
     bi = BoundInputs(ell=6, kappa=1.0, delta=1.0, n_channels=1)
     gap10 = p_asymptotic(bi, 10.0) / p_exact_quadrature(bi, 10.0) - 1

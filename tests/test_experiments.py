@@ -192,6 +192,17 @@ def test_fig2_and_fig5b_verify_clean(tmp_path):
         assert report.ok, report.lines()
 
 
+def test_fig5a_zero_estimate_verifies_at_seed_1(tmp_path):
+    # seed 1 samples no failure at t = 0.01, where the exact value is 2.6e-5:
+    # the 4-sigma comparison needs the zero estimate's error bar to be nonzero
+    cfg = ExperimentConfig(experiment="fig5a", seed=1, out_dir=str(tmp_path / "f5"))
+    run(cfg)
+    mc = _read_csv(os.path.join(cfg.out_dir, "fig5a_mc.csv"))
+    assert mc["y"][0] == 0.0 and mc["stderr"][0] > 0
+    report = verify(os.path.join(cfg.out_dir, "manifest.json"))
+    assert report.ok, report.lines()
+
+
 def test_figE8_verify_clean(tmp_path):
     cfg = ExperimentConfig(experiment="figE8", out_dir=str(tmp_path / "e8"),
                            params={"n_values": (1000, 3162, 10_000, 31_623, 100_000)})
@@ -336,6 +347,19 @@ def test_cli_bounds_unknown_op_exits_1(tmp_path, capsys):
     grid = _write(tmp_path / "g.csv", "op,t\nwat,1.0\n")
     assert cli.main(["bounds", "--grid", grid]) == 1
     assert "unknown op" in capsys.readouterr().err
+
+
+def test_cli_bounds_fractional_integer_column_exits_1(tmp_path, capsys):
+    grid = _write(tmp_path / "g.csv",
+                  "op,ell,kappa,delta,n_channels,t\n"
+                  "p_exact_quadrature,2.5,1.0,1.0,1,1.0\n")
+    assert cli.main(["bounds", "--grid", grid]) == 1
+    err = capsys.readouterr().err
+    assert "'ell'" in err and "2.5" in err
+    whole = _write(tmp_path / "w.csv",
+                   "op,ell,kappa,delta,n_channels,t\n"
+                   "p_exact_quadrature,2.0,1.0,1.0,1,1.0\n")
+    assert cli.main(["bounds", "--grid", whole]) == 0
 
 
 def test_cli_missing_required_flag_exits_1():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import gammainc
@@ -101,7 +103,9 @@ def test_epsilon_no_noise_is_zero():
     params = PoissonParams(kappa=1.0, delta=0.0, n_channels=15)
     res = estimate_epsilon(code, dec, noise, params, [0.5, 1.0], 500, seed=1)
     assert np.all(res.estimate == 0.0)
-    assert np.all(res.stderr == 0.0)
+    # the error bar of a zero estimate is the half-count floor, not 0
+    floor = math.sqrt((0.5 / 500) * (1 - 0.5 / 500) / 500)
+    assert res.stderr == pytest.approx([floor, floor], rel=1e-12)
 
 
 def test_epsilon_basic_shape_and_growth():
@@ -208,6 +212,22 @@ def test_violation_no_noise_and_monotone():
     res = estimate_faithful_violation(1, params, [0.5, 1.0, 4.0, 9.0], 65536, seed=4)
     assert np.all(np.diff(res.estimate) >= 0)
     assert res.estimate[-1] > 0
+
+
+def test_zero_and_interior_estimates_error_bars():
+    n = 20000
+    params = PoissonParams(kappa=1.0, delta=0.0, n_channels=1)
+    zero = estimate_faithful_violation(3, params, [1.0], n, seed=4)
+    assert zero.estimate[0] == 0.0
+    assert zero.stderr[0] > 0
+    assert zero.stderr[0] == pytest.approx(math.sqrt(0.5) / n, rel=1e-4)
+    # a real miss stays a miss: an exact 1e-3 is ~28 sigma from 0 of 20000
+    assert 1e-3 / zero.stderr[0] > 25
+    params = PoissonParams(kappa=1.0, delta=1.0, n_channels=1)
+    res = estimate_faithful_violation(1, params, [1.0], n, seed=4)
+    est = res.estimate[0]
+    assert 0 < est < 1
+    assert res.stderr[0] == np.sqrt(est * (1 - est) / n)
 
 
 def test_violation_deterministic_and_worker_invariant():
