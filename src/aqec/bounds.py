@@ -76,6 +76,10 @@ class BoundInputs:
             v = getattr(self, name)
             if v is not None and v < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        for name in ("ell", "h"):
+            v = getattr(self, name)
+            if v is not None and not float(v).is_integer():
+                raise ValueError(f"{name} must be a nonnegative integer")
         if self.xi is not None and self.xi > 1:
             raise ValueError("xi must lie in [0, 1]")
         if self.h is not None and self.ell is not None and self.h < self.ell:
@@ -305,8 +309,6 @@ def p_exact_quadrature(inputs: BoundInputs, t):
     p = 2.5e-41 (ell = 10, t = 0.03 and 0.001).
     """
     inputs.require("ell", "kappa", "delta", "n_channels")
-    if not float(inputs.ell).is_integer():
-        raise ValueError("ell must be a nonnegative integer")
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(times < 0):
         raise ValueError("t must be nonnegative")

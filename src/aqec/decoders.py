@@ -23,6 +23,7 @@ from .paulis import (
     PauliOperator,
     StabilizerCode,
     Syndrome,
+    _toric_edges,
     logical_class,
     multiply,
     syndrome_of,
@@ -108,16 +109,9 @@ def build_lookup(code: StabilizerCode, error_basis: str = "pauli") -> LookupDeco
     if n_gen > _LOOKUP_SYNDROME_CAP:
         raise ValueError(f"lookup table with 2^{n_gen} entries exceeds budget")
     n = code.n
-    gen_masks = [(g.x_bits, g.z_bits) for g in code.generators]
-
-    def syndrome_bits(ex, ez):
-        bits = 0
-        for a, (gx, gz) in enumerate(gen_masks):
-            bits |= _anticommute_bit(gx, gz, ex, ez) << a
-        return bits
-
     # syndromes unreachable in this basis simply stay absent from the table
     table = {0: (0, 0)}
+    decoder = LookupDecoder(code, table)
     target = 1 << n_gen
     for w in range(1, n + 1):
         if len(table) == target:
@@ -133,10 +127,10 @@ def build_lookup(code: StabilizerCode, error_basis: str = "pauli") -> LookupDeco
                         ez |= 1 << q
                 candidates.append((ex, ez))
         for ex, ez in sorted(candidates):
-            s = syndrome_bits(ex, ez)
+            s = decoder.syndrome_bits(ex, ez)
             if s not in table:
                 table[s] = (ex, ez)
-    return LookupDecoder(code, table)
+    return decoder
 
 
 class MajorityDecoder(Decoder):
@@ -247,6 +241,7 @@ class MwpmDecoder(Decoder):
         if 2 * L * L != code.n or not code.name.startswith("toric"):
             raise ValueError("MwpmDecoder requires a toric code")
         self.L = L
+        self._h, self._v = _toric_edges(L)
         n2 = L * L
         # star masks in vertex row-major order; plaquette masks face row-major
         self._star_mask = []
@@ -260,14 +255,6 @@ class MwpmDecoder(Decoder):
                     (1 << self._h(r, c)) | (1 << self._h(r + 1, c))
                     | (1 << self._v(r, c)) | (1 << self._v(r, c + 1)))
         self._n_sites = n2
-
-    def _h(self, r, c):
-        L = self.L
-        return (r % L) * L + (c % L)
-
-    def _v(self, r, c):
-        L = self.L
-        return L * L + (r % L) * L + (c % L)
 
     # -- defect extraction ---------------------------------------------------
 

@@ -239,23 +239,15 @@ def parse_config(path) -> ExperimentConfig:
     if "experiment" not in pairs:
         raise ValueError(f"{path}: missing required key 'experiment'")
     experiment = pairs.pop("experiment")
-    if experiment not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {experiment!r}; "
-                         f"known: {', '.join(sorted(EXPERIMENTS))}")
-    schema = EXPERIMENTS[experiment]
+    schema = EXPERIMENTS.get(experiment, {})
     common = {}
     params = {}
-    unknown = []
     for key, raw in pairs.items():
         if key in _COMMON_KINDS:
             common[key] = _coerce(_COMMON_KINDS[key], raw)
-        elif key in schema:
-            params[key] = _coerce(schema[key].kind, raw)
         else:
-            unknown.append(key)
-    if unknown:
-        raise ValueError(f"unknown parameter keys for {experiment}: "
-                         + ", ".join(sorted(unknown)))
+            # unknown keys pass through raw; ExperimentConfig rejects them
+            params[key] = _coerce(schema[key].kind, raw) if key in schema else raw
     return ExperimentConfig(experiment=experiment, params=params, **common)
 
 
@@ -534,29 +526,27 @@ def _run_fig6(p, seed, workers, full_scale=False):
     return out
 
 
-def _ratio_rows(p):
-    """(kd, N, h, ln_ratio) for the recurrence-vs-power comparison experiments."""
-    rows = []
+def _ratio_tables(p, fig: str):
+    """Per-kd recurrence-vs-power CSVs and their (N, h, ln_ratio) rows by kd."""
+    out = {}
+    by_kd = {}
     for kd in p["kd_values"]:
+        sub = []
         for n in p["n_values"]:
             p1 = 1.0 / (1.0 + kd / n)
             h = int(round(p["h_fraction"] * n))
             sol = solve_recurrence(h, int(n), p1)
-            ln_ratio = sol.log_s1 - h * math.log(p1)
-            rows.append((float(kd), int(n), h, float(ln_ratio)))
-    return rows
+            sub.append((int(n), h, float(sol.log_s1 - h * math.log(p1))))
+        out[f"{fig}_ratio_kd{_fmt(float(kd))}.csv"] = (
+            ("x", "y", "ln_ratio", "h", "kd"),
+            [(n, math.exp(lr), lr, h, float(kd)) for n, h, lr in sub])
+        by_kd[kd] = sub
+    return out, by_kd
 
 
 def _run_figE7(p, seed, workers):
-    rows = _ratio_rows(p)
-    out = {}
-    sat = {}
-    for kd in p["kd_values"]:
-        sub = [(n, h, lr) for k, n, h, lr in rows if k == kd]
-        out[f"figE7_ratio_kd{_fmt(float(kd))}.csv"] = (
-            ("x", "y", "ln_ratio", "h", "kd"),
-            [(n, math.exp(lr), lr, h, float(kd)) for n, h, lr in sub])
-        sat[kd] = max(sub)[2]  # ln_ratio at the largest N
+    out, by_kd = _ratio_tables(p, "figE7")
+    sat = {kd: max(sub)[2] for kd, sub in by_kd.items()}  # ln_ratio at the largest N
     kds = np.array(sorted(sat))
     lns = np.array([sat[k] for k in kds])
     slope, intercept = ols_line(kds, lns)
@@ -567,14 +557,9 @@ def _run_figE7(p, seed, workers):
 
 
 def _run_figE8(p, seed, workers):
-    rows = _ratio_rows(p)
-    out = {}
+    out, by_kd = _ratio_tables(p, "figE8")
     exp_rows = []
-    for kd in p["kd_values"]:
-        sub = [(n, h, lr) for k, n, h, lr in rows if k == kd]
-        out[f"figE8_ratio_kd{_fmt(float(kd))}.csv"] = (
-            ("x", "y", "ln_ratio", "h", "kd"),
-            [(n, math.exp(lr), lr, h, float(kd)) for n, h, lr in sub])
+    for kd, sub in by_kd.items():
         ns = np.array([n for n, _, _ in sub], dtype=float)
         lns = np.array([lr for _, _, lr in sub])
         window = ns >= ns.max() / 10.0  # fit over the largest decade computed

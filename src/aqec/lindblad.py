@@ -135,20 +135,6 @@ class _JumpTerm:
         return out
 
 
-class _RawChannelTerm:
-    """The channel action itself, for kind=channel wrappers."""
-
-    def __init__(self, channel: "KrausChannel"):
-        self.channel = channel
-        self.dim = channel.dim
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return self.channel.apply(rho)
-
-    def dense(self) -> np.ndarray:
-        return self.channel.to_dense()
-
-
 class _ChannelTerm:
     """kappa (R(rho) - rho) for a Kraus channel R."""
 
@@ -169,15 +155,16 @@ class _ChannelTerm:
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Structured generator or channel; apply is batched over leading axes."""
+    """Structured Lindblad generator: a sum of jump and recovery terms.
+
+    apply is batched over leading axes.  A recovery channel enters only as
+    the generator kappa (R - identity); the channel itself is a KrausChannel.
+    """
 
     dim: int
-    kind: str  # "lindbladian" or "channel"
     terms: tuple
 
     def __post_init__(self):
-        if self.kind not in ("lindbladian", "channel"):
-            raise ValueError("kind must be lindbladian or channel")
         for t in self.terms:
             if t.dim != self.dim:
                 raise ValueError("term dimension mismatch")
@@ -197,9 +184,7 @@ class Superoperator:
     def __add__(self, other: "Superoperator") -> "Superoperator":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        if self.kind != "lindbladian" or other.kind != "lindbladian":
-            raise ValueError("only lindbladians compose additively")
-        return Superoperator(self.dim, "lindbladian", self.terms + other.terms)
+        return Superoperator(self.dim, self.terms + other.terms)
 
 
 def build_lindbladian(jumps) -> Superoperator:
@@ -207,13 +192,13 @@ def build_lindbladian(jumps) -> Superoperator:
     if not jumps:
         raise ValueError("at least one jump required")
     term = _JumpTerm(jumps)
-    return Superoperator(term.dim, "lindbladian", (term,))
+    return Superoperator(term.dim, (term,))
 
 
 def recovery_lindbladian(channel: "KrausChannel", kappa: float) -> Superoperator:
     """Recovery generator kappa (R - identity)."""
     term = _ChannelTerm(channel, kappa)
-    return Superoperator(term.dim, "lindbladian", (term,))
+    return Superoperator(term.dim, (term,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,9 +247,6 @@ class KrausChannel:
         if self.p_perp is not None:
             out += np.outer(self.sigma.reshape(-1), self.p_perp.T.reshape(-1))
         return out
-
-    def as_superoperator(self) -> Superoperator:
-        return Superoperator(self.dim, "channel", (_RawChannelTerm(self),))
 
 
 def codespace_basis(code: StabilizerCode) -> tuple:

@@ -6,6 +6,11 @@ or one of N error jumps.  For stabilizer codes under Pauli jumps the state is
 always (Pauli frame) x (codeword), so trajectories are simulated on packed
 frame bits and recoveries reduce to syndrome decoding.
 
+Every frame estimator draws each sample with one event draw (a Poisson count,
+then uniform times, then uniform labels; see sample_trajectory) and walks it
+with one frame walk that reads the logical class out at given times.  Decodes
+are memoized by frame for every code: the same few frames recur.
+
 Determinism contract: every estimator draws from per-shard streams keyed by
 (root seed, estimator tag, shard index) and merges shard statistics in shard
 order, so results are bit-identical for any worker count.
@@ -15,7 +20,8 @@ from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -128,17 +134,33 @@ def shard_rng(root_seed: int, tag: str, shard: int) -> np.random.Generator:
 
 
 def _label_thresholds(params: PoissonParams, noise: NoiseModel = None) -> np.ndarray:
-    """Cumulative label probabilities [p0, p0+p_1, ..., 1]."""
+    """Cumulative label probabilities [p0, p0+p_1, ..., 1]; None when gamma = 0."""
     if noise is None:
         w = np.ones(params.n_channels)
     else:
         if noise.n_channels != params.n_channels:
             raise ValueError("noise model and params disagree on channel count")
         w = np.asarray(noise.weights, dtype=float)
+    if params.gamma == 0:
+        return None  # no event is ever drawn, and 0/0 thresholds would be NaN
     probs = np.concatenate(([params.kappa], w * params.delta))
     cum = np.cumsum(probs) / probs.sum()
     cum[-1] = 1.0  # guard against float shortfall mapping a draw out of range
     return cum
+
+
+def _draw_events(rng: np.random.Generator, gamma: float, horizon: float, cum) -> tuple:
+    """(times, labels) of one trajectory on [0, horizon], drawn in a fixed order.
+
+    A Poisson(gamma*horizon) count, then uniform times, then uniform labels
+    mapped through the thresholds cum; nothing is drawn when gamma or the
+    horizon is 0.
+    """
+    if gamma == 0 or horizon == 0:
+        return np.empty(0), np.empty(0, dtype=np.int64)
+    k = int(rng.poisson(gamma * horizon))
+    times = np.sort(rng.random(k)) * horizon
+    return times, np.searchsorted(cum, rng.random(k), side="right")
 
 
 def sample_trajectory(params: PoissonParams, horizon: float,
@@ -146,13 +168,8 @@ def sample_trajectory(params: PoissonParams, horizon: float,
     """One trajectory: event count ~ Poisson(gamma*t), labels i.i.d. by rates."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    gamma = params.gamma
-    if gamma == 0 or horizon == 0:
-        return Trajectory(np.empty(0), np.empty(0, dtype=np.int64), horizon)
-    k = int(rng.poisson(gamma * horizon))
-    times = np.sort(rng.random(k)) * horizon
-    cum = _label_thresholds(params, noise)
-    labels = np.searchsorted(cum, rng.random(k), side="right")
+    times, labels = _draw_events(rng, params.gamma, horizon,
+                                 _label_thresholds(params, noise))
     return Trajectory(times, labels.astype(np.int64), horizon)
 
 
@@ -160,27 +177,24 @@ def sample_trajectory(params: PoissonParams, horizon: float,
 
 
 class _FrameEngine:
-    """Precomputed masks and memoized decode for the per-sample event loop."""
+    """Precomputed masks and a memoized decode for the per-sample frame walk."""
 
     def __init__(self, code: StabilizerCode, decoder: Decoder, noise: NoiseModel):
         if decoder.code is not code and decoder.code.name != code.name:
             raise ValueError("decoder bound to a different code")
-        self.code = code
         self.decoder = decoder
         self.jump_x = [e.x_bits for e in noise.jumps]
         self.jump_z = [e.z_bits for e in noise.jumps]
         # logical masks: class bit i set iff residual anticommutes with the mask
         self.lz_masks = [(l.x_bits, l.z_bits) for l in code.logical_z]
         self.lx_masks = [(l.x_bits, l.z_bits) for l in code.logical_x]
-        # memoize frame -> class only when the key space is small
-        self._cache = {} if code.n <= 12 else None
+        self._cache = {}  # frame (x, z) -> class; few distinct frames recur
 
     def decode_class(self, fx: int, fz: int) -> tuple:
         """Logical class bits (x flips, z flips) after decoding frame (fx, fz)."""
-        if self._cache is not None:
-            hit = self._cache.get((fx, fz))
-            if hit is not None:
-                return hit
+        hit = self._cache.get((fx, fz))
+        if hit is not None:
+            return hit
         cx, cz = self.decoder.correction_masks(fx, fz)
         rx, rz = fx ^ cx, fz ^ cz
         clsx = clsz = 0
@@ -190,51 +204,58 @@ class _FrameEngine:
         for i, (mx, mz) in enumerate(self.lx_masks):
             if ((rx & mz).bit_count() + (rz & mx).bit_count()) & 1:
                 clsz |= 1 << i
-        if self._cache is not None:
-            self._cache[(fx, fz)] = (clsx, clsz)
+        self._cache[(fx, fz)] = (clsx, clsz)
         return clsx, clsz
 
+    def walk(self, ev_t, ev_l, readouts, commit: bool) -> list:
+        """Logical class (x, z) at each readout time of one event draw.
 
-def _epsilon_shard(engine: _FrameEngine, params: PoissonParams, noise: NoiseModel,
-                   times, n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Failure counts, shape (3 families, len(times))."""
-    times = np.asarray(times, dtype=float)
-    horizon = float(times[-1])
-    gamma = params.gamma
-    cum = _label_thresholds(params, noise)
-    jump_x, jump_z = engine.jump_x, engine.jump_z
-    decode = engine.decode_class
-    fails = np.zeros((3, len(times)), dtype=np.int64)
-    for _ in range(n_samples):
-        k = int(rng.poisson(gamma * horizon)) if gamma > 0 else 0
-        ev_t = np.sort(rng.random(k)) * horizon
-        ev_l = np.searchsorted(cum, rng.random(k), side="right")
+        Error events multiply the frame.  A recovery event decodes the frame,
+        XORs its class into the accumulator and zeroes the frame; tracking
+        class bits with a zero frame is exact by coset linearity.  A readout
+        decodes the frame as it stands, and with commit=True it is also a
+        recovery.  Events at a readout time happen before the readout.
+        """
+        jump_x, jump_z, decode = self.jump_x, self.jump_z, self.decode_class
+        ev_t, ev_l = ev_t.tolist(), ev_l.tolist()
+        k = len(ev_t)
         fx = fz = accx = accz = 0
         ev = 0
-        for j, t_read in enumerate(times):
+        out = []
+        for t_read in readouts:
             while ev < k and ev_t[ev] <= t_read:
-                lab = int(ev_l[ev])
-                if lab == 0:
-                    # recovery resets the frame to a logical representative;
-                    # tracking class bits + zero frame is exact by coset linearity
-                    cx, cz = decode(fx, fz)
-                    accx ^= cx
-                    accz ^= cz
-                    fx = fz = 0
-                else:
+                lab = ev_l[ev]
+                ev += 1
+                if lab:
                     fx ^= jump_x[lab - 1]
                     fz ^= jump_z[lab - 1]
-                ev += 1
-            # readout applies a fresh final recovery on a copy of the frame
+                    continue
+                cx, cz = decode(fx, fz)
+                accx, accz, fx, fz = accx ^ cx, accz ^ cz, 0, 0
             cx, cz = decode(fx, fz)
-            tx, tz = accx ^ cx, accz ^ cz
+            out.append((accx ^ cx, accz ^ cz))
+            if commit:
+                accx, accz, fx, fz = accx ^ cx, accz ^ cz, 0, 0
+        return out
+
+
+def _epsilon_shard(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
+                   params: PoissonParams, times: list, n_samples: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Failure counts, shape (3 families, len(times)); readouts do not recover."""
+    engine = _FrameEngine(code, decoder, noise)  # one memo per shard bounds its size
+    cum = _label_thresholds(params, noise)
+    fails = [[0] * len(times) for _ in range(3)]
+    for _ in range(n_samples):
+        ev_t, ev_l = _draw_events(rng, params.gamma, times[-1], cum)
+        for j, (tx, tz) in enumerate(engine.walk(ev_t, ev_l, times, False)):
             if tx:
-                fails[0, j] += 1          # Z-basis states flipped by any X-type logical
+                fails[0][j] += 1          # Z-basis states flipped by any X-type logical
             if tz:
-                fails[1, j] += 1          # X-basis states flipped by any Z-type logical
+                fails[1][j] += 1          # X-basis states flipped by any Z-type logical
             if tx ^ tz:
-                fails[2, j] += 1          # Y-basis flips: exactly one type per logical
-    return fails
+                fails[2][j] += 1          # Y-basis flips: exactly one type per logical
+    return np.array(fails, dtype=np.int64)
 
 
 @dataclass
@@ -268,32 +289,17 @@ def _binomial_stderr(est, n_samples: int) -> np.ndarray:
     return np.sqrt(p * (1 - p) / n)
 
 
-def _shard_sizes(n_samples: int, shard: int):
-    full, rem = divmod(n_samples, shard)
-    return [shard] * full + ([rem] if rem else [])
-
-
-def _run_shards(worker, n_shards: int, workers: int):
-    """Ordered shard results, inline or via a process pool."""
-    if workers <= 1 or n_shards <= 1:
-        return [worker(i) for i in range(n_shards)]
+def _run_shards(fn, n_samples: int, shard_size: int, seed: int, tag: str,
+                workers: int):
+    """Sum of fn(n, shard_rng(seed, tag, i)) over shards, merged in shard order;
+    fn is a partial of a module-level function, so it pickles for the pool."""
+    full, rem = divmod(n_samples, shard_size)
+    sizes = [shard_size] * full + ([rem] if rem else [])
+    rngs = [shard_rng(seed, tag, i) for i in range(len(sizes))]
+    if workers <= 1 or len(sizes) <= 1:
+        return sum(fn(n, rng) for n, rng in zip(sizes, rngs))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(n_shards)))
-
-
-class _EpsilonWorker:
-    """Picklable shard closure for estimate_epsilon."""
-
-    def __init__(self, code, decoder, noise, params, times, sizes, seed, tag):
-        self.code, self.decoder, self.noise = code, decoder, noise
-        self.params, self.times, self.sizes = params, times, sizes
-        self.seed, self.tag = seed, tag
-
-    def __call__(self, shard: int) -> np.ndarray:
-        engine = _FrameEngine(self.code, self.decoder, self.noise)
-        rng = shard_rng(self.seed, self.tag, shard)
-        return _epsilon_shard(engine, self.params, self.noise, self.times,
-                              self.sizes[shard], rng)
+        return sum(pool.map(fn, sizes, rngs))
 
 
 def estimate_epsilon(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
@@ -311,9 +317,8 @@ def estimate_epsilon(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     times = np.asarray(times, dtype=float)
     if len(times) == 0 or np.any(np.diff(times) < 0) or times[0] < 0:
         raise ValueError("times must be nondecreasing and nonnegative")
-    sizes = _shard_sizes(n_samples, FRAME_SHARD)
-    worker = _EpsilonWorker(code, decoder, noise, params, times, sizes, seed, "epsilon")
-    fails = sum(_run_shards(worker, len(sizes), workers))
+    shard = partial(_epsilon_shard, code, decoder, noise, params, times.tolist())
+    fails = _run_shards(shard, n_samples, FRAME_SHARD, seed, "epsilon", workers)
     rates = fails / n_samples
     family = np.argmax(rates, axis=0)
     est = rates[family, np.arange(len(times))]
@@ -334,10 +339,8 @@ def estimate_alpha(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     ``per_family`` of estimate_epsilon if needed.
     """
     params = PoissonParams(kappa=0.0, delta=delta, n_channels=noise.n_channels)
-    sizes = _shard_sizes(n_samples, FRAME_SHARD)
-    worker = _EpsilonWorker(code, decoder, noise, params, np.asarray([tau], float),
-                            sizes, seed, "alpha")
-    fails = sum(_run_shards(worker, len(sizes), workers))
+    shard = partial(_epsilon_shard, code, decoder, noise, params, [float(tau)])
+    fails = _run_shards(shard, n_samples, FRAME_SHARD, seed, "alpha", workers)
     est = fails[0] / n_samples  # Z-family row
     stderr = _binomial_stderr(est, n_samples)
     return MonteCarloEstimate(times=np.asarray([tau]), estimate=est, stderr=stderr,
@@ -356,60 +359,24 @@ class Assumption2Result:
     n_samples: int
 
 
-class _A2Worker:
-    def __init__(self, code, decoder, noise, params, t, m, sizes, seed):
-        self.code, self.decoder, self.noise = code, decoder, noise
-        self.params, self.t, self.m, self.sizes, self.seed = params, t, m, sizes, seed
-
-    def __call__(self, shard: int):
-        engine = _FrameEngine(self.code, self.decoder, self.noise)
-        rng = shard_rng(self.seed, "assumption2", shard)
-        params, t, m = self.params, self.t, self.m
-        horizon = m * t
-        gamma = params.gamma
-        cum = _label_thresholds(params, self.noise)
-        jump_x, jump_z = engine.jump_x, engine.jump_z
-        decode = engine.decode_class
-        surv_l = surv_r = 0
-        both = 0  # joint survivals, for the paired variance
-        for _ in range(self.sizes[shard]):
-            k = int(rng.poisson(gamma * horizon)) if gamma > 0 else 0
-            ev_t = np.sort(rng.random(k)) * horizon
-            ev_l = np.searchsorted(cum, rng.random(k), side="right")
-            # one shared noise realization processed two ways (paired design)
-            fx = fz = accx = 0
-            gx = gz = baccx = 0
-            ev = 0
-            for j in range(1, m + 1):
-                t_edge = j * t
-                while ev < k and ev_t[ev] <= t_edge:
-                    lab = int(ev_l[ev])
-                    if lab == 0:
-                        cx, _ = decode(fx, fz)
-                        accx ^= cx
-                        fx = fz = 0
-                        cx, _ = decode(gx, gz)
-                        baccx ^= cx
-                        gx = gz = 0
-                    else:
-                        fx ^= jump_x[lab - 1]
-                        fz ^= jump_z[lab - 1]
-                        gx ^= jump_x[lab - 1]
-                        gz ^= jump_z[lab - 1]
-                    ev += 1
-                # rhs: forced recovery at every boundary j*t
-                cx, _ = decode(gx, gz)
-                baccx ^= cx
-                gx = gz = 0
-            # lhs: single final recovery at m*t
-            cx, _ = decode(fx, fz)
-            accx ^= cx
-            sl = accx == 0
-            sr = baccx == 0
-            surv_l += sl
-            surv_r += sr
-            both += sl and sr
-        return np.array([surv_l, surv_r, both], dtype=np.int64)
+def _assumption2_shard(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
+                       params: PoissonParams, t: float, m: int, n_samples: int,
+                       rng: np.random.Generator) -> np.ndarray:
+    """Survival counts [lhs, rhs, both] of the paired interleaving design."""
+    engine = _FrameEngine(code, decoder, noise)
+    edges = [j * t for j in range(1, m + 1)]
+    cum = _label_thresholds(params, noise)
+    surv_l = surv_r = both = 0  # both: joint survivals, for the paired variance
+    for _ in range(n_samples):
+        ev_t, ev_l = _draw_events(rng, params.gamma, edges[-1], cum)
+        # one shared noise realization processed two ways: a single final
+        # recovery at m*t (lhs), or a forced recovery at every j*t (rhs)
+        sl = engine.walk(ev_t, ev_l, edges[-1:], False)[0][0] == 0
+        sr = engine.walk(ev_t, ev_l, edges, True)[-1][0] == 0
+        surv_l += sl
+        surv_r += sr
+        both += sl and sr
+    return np.array([surv_l, surv_r, both], dtype=np.int64)
 
 
 def check_assumption2(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
@@ -425,9 +392,8 @@ def check_assumption2(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
         raise ValueError("m must be nonnegative")
     if m == 0:
         return Assumption2Result(1.0, 1.0, 0.0, True, n_samples)
-    sizes = _shard_sizes(n_samples, FRAME_SHARD)
-    worker = _A2Worker(code, decoder, noise, params, t, m, sizes, seed)
-    tot = sum(_run_shards(worker, len(sizes), workers))
+    shard = partial(_assumption2_shard, code, decoder, noise, params, t, m)
+    tot = _run_shards(shard, n_samples, FRAME_SHARD, seed, "assumption2", workers)
     lhs = tot[0] / n_samples
     rhs = tot[1] / n_samples
     both = tot[2] / n_samples
@@ -439,20 +405,6 @@ def check_assumption2(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
 
 
 # -- faithful-trajectory violation ------------------------------------------------
-
-
-class _ViolationWorker:
-    def __init__(self, ell, params, horizon, sizes, seed, times):
-        self.ell, self.params, self.horizon = ell, params, horizon
-        self.sizes, self.seed, self.times = sizes, seed, times
-
-    def __call__(self, shard: int) -> np.ndarray:
-        rng = shard_rng(self.seed, "violation", shard)
-        tv = _violation_times_shard(self.ell, self.params, self.horizon,
-                                    self.sizes[shard], rng)
-        # reduce to per-time counts here so the merge is O(len(times)) per
-        # shard; holding every sample's violation time does not scale
-        return np.array([(tv <= t).sum() for t in self.times], dtype=np.int64)
 
 
 def _violation_times_shard(ell: int, params: PoissonParams, horizon: float,
@@ -493,6 +445,13 @@ def _violation_times_shard(ell: int, params: PoissonParams, horizon: float,
     return out
 
 
+def _violation_shard(ell: int, params: PoissonParams, horizon: float, times,
+                     n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Per-time violation counts; reducing here keeps the merge O(len(times))."""
+    tv = _violation_times_shard(ell, params, horizon, n_samples, rng)
+    return np.array([(tv <= t).sum() for t in times], dtype=np.int64)
+
+
 def estimate_faithful_violation(ell: int, params: PoissonParams, times,
                                 n_samples: int, seed: int,
                                 workers: int = 1) -> MonteCarloEstimate:
@@ -501,10 +460,8 @@ def estimate_faithful_violation(ell: int, params: PoissonParams, times,
         raise ValueError("ell must be nonnegative")
     times = np.asarray(times, dtype=float)
     horizon = float(times.max()) if len(times) else 0.0
-    sizes = _shard_sizes(n_samples, VIOLATION_SHARD)
-    worker = _ViolationWorker(ell, params, horizon, sizes, seed, times)
-    parts = _run_shards(worker, len(sizes), workers)
-    counts = sum(parts) if parts else np.zeros(len(times), dtype=np.int64)
+    shard = partial(_violation_shard, ell, params, horizon, times)
+    counts = _run_shards(shard, n_samples, VIOLATION_SHARD, seed, "violation", workers)
     est = counts / n_samples if n_samples else np.zeros(len(times))
     stderr = _binomial_stderr(est, n_samples)
     return MonteCarloEstimate(times=times, estimate=est, stderr=stderr,

@@ -95,6 +95,22 @@ def test_bound_inputs_validation():
         BoundInputs(ell=4, h=2)
 
 
+def test_bound_inputs_reject_fractional_ell_and_h():
+    # theorem3 used to truncate h = 3.5 to 3; delta_eff and theorem4's late
+    # slope raised (1 + kappa/N Delta) to fractional powers at ell = 2.5
+    rates = dict(kappa=1.0, delta=0.001, n_channels=1000)
+    with pytest.raises(ValueError, match="h must be a nonnegative integer"):
+        theorem3_bound(BoundInputs(xi=0.0, h=3.5, **rates), 1.0)
+    with pytest.raises(ValueError, match="ell must be a nonnegative integer"):
+        delta_eff(BoundInputs(ell=2.5, **rates))
+    with pytest.raises(ValueError, match="ell must be a nonnegative integer"):
+        theorem4_late_slope(BoundInputs(ell=2.5, **rates))
+    # integral floats stay accepted and read as their integers
+    assert theorem3_bound(BoundInputs(xi=0.0, h=3.0, **rates), 1.0) \
+        == theorem3_bound(BoundInputs(xi=0.0, h=3, **rates), 1.0)
+    assert delta_eff(BoundInputs(ell=6.0, **rates)) == delta_eff(BoundInputs(ell=6, **rates))
+
+
 def test_soft_threshold_scan():
     # The integer argmin sits next to r0/(e r).  The continuous minimizer is
     # r0/(e r) - 1 + O(r/r0), so the scan result trails the prediction by up

@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from aqec.decoders import LookupDecoder, MajorityDecoder, build_lookup
-from aqec.paulis import StabilizerCode, five_qubit_code, repetition_code
+from aqec.decoders import LookupDecoder, MajorityDecoder, MwpmDecoder, build_lookup
+from aqec.paulis import StabilizerCode, five_qubit_code, repetition_code, toric_code
 from aqec.trajectories import (
+    FRAME_SHARD,
     NoiseModel,
     PoissonParams,
     check_assumption2,
@@ -238,14 +240,80 @@ def test_violation_deterministic_and_worker_invariant():
     assert np.array_equal(a.estimate, b.estimate)
 
 
-def test_epsilon_large_code_uncached_path():
-    # n > 12 disables the decode memo; exercise that branch on a small sample
-    from aqec.decoders import MwpmDecoder
-    from aqec.paulis import toric_code
-
+def test_epsilon_toric_memoized_decode():
+    # toric frames go through the same decode memo as small codes
     code = toric_code(3)
     dec = MwpmDecoder(code)
     noise = NoiseModel.bit_flip(code.n)
     params = PoissonParams(kappa=1.0, delta=0.05, n_channels=code.n)
     res = estimate_epsilon(code, dec, noise, params, [0.5], 200, seed=3)
     assert 0 <= res.estimate[0] <= 1
+
+
+# -- pinned counts: the draw order and the frame walk must not drift ----------
+
+
+def test_epsilon_pinned_counts():
+    code = five_qubit_code()
+    noise = NoiseModel.depolarizing(5)
+    n = 3000
+    res = estimate_epsilon(code, build_lookup(code), noise, noise.params(1.0, 0.1),
+                           [0.0, 0.5, 1.0, 3.0], n, seed=17)
+    assert np.rint(res.per_family * n).astype(int).tolist() == [
+        [0, 243, 558, 1247], [0, 245, 564, 1242], [0, 226, 586, 1289]]
+
+
+def test_alpha_pinned_count():
+    code = toric_code(3)
+    n = 2000
+    res = estimate_alpha(code, MwpmDecoder(code), NoiseModel.depolarizing(code.n),
+                         0.1, n, seed=23)
+    assert round(res.estimate[0] * n) == 894
+
+
+def test_assumption2_pinned_counts():
+    # kappa = 2 puts recoveries inside the paired loop on most samples
+    code = toric_code(3)
+    noise = NoiseModel.depolarizing(code.n)
+    n = 1500
+    r = check_assumption2(code, MwpmDecoder(code), noise, noise.params(2.0, 0.3),
+                          t=0.1, m=4, n_samples=n, seed=29)
+    assert (round(r.lhs * n), round(r.rhs * n)) == (791, 1131)
+    assert r.sigma == pytest.approx(0.013710228676808073, rel=1e-12)
+    assert r.holds
+
+
+def test_assumption2_worker_invariant():
+    code = five_qubit_code()
+    noise = NoiseModel.depolarizing(5)
+    kw = dict(params=noise.params(1.0, 1.0 / 15.0), t=0.3, m=3, n_samples=5000, seed=31)
+    a = check_assumption2(code, build_lookup(code), noise, **kw, workers=1)
+    b = check_assumption2(code, build_lookup(code), noise, **kw, workers=2)
+    assert (a.lhs, a.rhs, a.sigma, a.holds) == (b.lhs, b.rhs, b.sigma, b.holds)
+
+
+def test_zero_rates_draw_nothing_and_do_not_warn():
+    code = five_qubit_code()
+    dec = build_lookup(code)
+    noise = NoiseModel.depolarizing(5)
+    params = noise.params(0.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tr = sample_trajectory(params, 2.0, shard_rng(0, "traj", 3), noise)
+        assert tr.times.size == 0 and tr.labels.size == 0
+        res = estimate_epsilon(code, dec, noise, params, [0.5, 1.0], 100, seed=1)
+        assert np.all(res.estimate == 0.0)
+        r = check_assumption2(code, dec, noise, params, t=0.5, m=3, n_samples=100, seed=1)
+        assert (r.lhs, r.rhs, r.sigma, r.holds) == (1.0, 1.0, 0.0, True)
+
+
+def test_epsilon_toric_worker_invariant():
+    # the pool pickles the MWPM decoder with the shard function
+    code = toric_code(3)
+    noise = NoiseModel.bit_flip(code.n)
+    kw = dict(params=noise.params(1.0, 0.02), times=[0.5, 1.0],
+              n_samples=FRAME_SHARD + 100, seed=37)
+    a = estimate_epsilon(code, MwpmDecoder(code), noise, **kw, workers=1)
+    b = estimate_epsilon(code, MwpmDecoder(code), noise, **kw, workers=2)
+    assert np.array_equal(a.per_family, b.per_family)
+    assert a.estimate[1] > 0
