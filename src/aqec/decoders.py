@@ -170,42 +170,47 @@ class MajorityDecoder(Decoder):
 
 # -- toric MWPM --------------------------------------------------------------
 
-_DP_DEFECT_CAP = 12  # bitmask DP up to 2^12 subsets; blossom above
+_DP_DEFECT_CAP = 12  # subset DP up to 12 defects (233 reachable subsets); blossom above
 
 
 def _dp_min_matching(dist) -> list:
-    """Exact minimum-weight perfect matching by subset DP (integer costs).
+    """Exact minimum-weight perfect matching by subset DP.
 
-    Returns pairs (i, j).  Deterministic: subsets are filled in increasing
-    numeric order, the lowest set bit anchors each subset, and the first
-    partner achieving the minimum is kept.
+    Returns pairs (i, j).  Solves, top-down with a memo, only the subsets
+    reachable from the full set by removing the lowest set bit (the anchor)
+    and one partner: Fibonacci F(m+1) of them, 233 at m = 12.  Deterministic:
+    partners are scanned from the low bits up and the first one achieving the
+    minimum is kept.  ``dist`` is any m x m indexable, a numpy array included.
     """
-    m = len(dist)
-    full = (1 << m) - 1
-    best = [None] * (full + 1)
-    choice = [0] * (full + 1)
-    best[0] = 0
-    for s in range(3, full + 1):
-        if s.bit_count() & 1:
-            continue
-        i = (s & -s).bit_length() - 1
-        rest = s ^ (1 << i)
+    best = {0: 0}
+    choice = {}
+
+    def solve(s):
+        low = s & -s
+        i = low.bit_length() - 1
+        row = dist[i]
+        rest = s ^ low
         b = None
-        ch = -1
         t = rest
         while t:
-            j = (t & -t).bit_length() - 1
-            t ^= 1 << j
-            sub = best[s ^ (1 << i) ^ (1 << j)]
-            if sub is None:
-                continue
-            c = dist[i][j] + sub
+            bit = t & -t
+            t ^= bit
+            sub = rest ^ bit
+            c = best.get(sub)
+            if c is None:
+                c = solve(sub)
+            j = bit.bit_length() - 1
+            c = row[j] + c
             if b is None or c < b:
                 b, ch = c, j
         best[s] = b
         choice[s] = ch
+        return b
+
+    s = (1 << len(dist)) - 1
+    if s:
+        solve(s)
     pairs = []
-    s = full
     while s:
         i = (s & -s).bit_length() - 1
         j = choice[s]
@@ -215,12 +220,17 @@ def _dp_min_matching(dist) -> list:
 
 
 def _blossom_min_matching(dist) -> list:
+    """Exact minimum-weight perfect matching by networkx blossom.
+
+    Maximum-cardinality maximum-weight matching on weights 1 + max(w) - w,
+    the graph ``nx.min_weight_matching`` would build, built once here.
+    """
     m = len(dist)
+    top = 1 + max(dist[i][j] for i in range(m) for j in range(i + 1, m))
     g = nx.Graph()
-    for i in range(m):
-        for j in range(i + 1, m):
-            g.add_edge(i, j, weight=dist[i][j])
-    match = nx.min_weight_matching(g)
+    g.add_weighted_edges_from(
+        (i, j, top - dist[i][j]) for i in range(m) for j in range(i + 1, m))
+    match = nx.max_weight_matching(g, maxcardinality=True)
     return sorted(tuple(sorted(p)) for p in match)
 
 
@@ -255,6 +265,11 @@ class MwpmDecoder(Decoder):
                     (1 << self._h(r, c)) | (1 << self._h(r + 1, c))
                     | (1 << self._v(r, c)) | (1 << self._v(r, c + 1)))
         self._n_sites = n2
+        # toroidal Manhattan distance between sites, row-major: one table
+        ring = [min(d, L - d) for d in range(L)]
+        self._dist = [[ring[(r1 - r2) % L] + ring[(c1 - c2) % L]
+                       for r2 in range(L) for c2 in range(L)]
+                      for r1 in range(L) for c1 in range(L)]
 
     # -- defect extraction ---------------------------------------------------
 
@@ -288,9 +303,7 @@ class MwpmDecoder(Decoder):
         return (fwd, +1) if fwd <= bwd else (bwd, -1)
 
     def _tdist(self, s1: int, s2: int) -> int:
-        r1, c1 = divmod(s1, self.L)
-        r2, c2 = divmod(s2, self.L)
-        return self._leg(r1, r2)[0] + self._leg(c1, c2)[0]
+        return self._dist[s1][s2]
 
     def _primal_path(self, s1: int, s2: int) -> int:
         """Edge mask of the canonical primal path: vertical leg then horizontal."""
@@ -336,7 +349,8 @@ class MwpmDecoder(Decoder):
             return []
         if m % 2:
             raise ValueError("odd defect count; syndrome not error-generated")
-        dist = [[self._tdist(a, b) for b in defects] for a in defects]
+        rows = [self._dist[a] for a in defects]
+        dist = [[row[b] for b in defects] for row in rows]
         pairs = _dp_min_matching(dist) if m <= _DP_DEFECT_CAP else _blossom_min_matching(dist)
         return [(defects[i], defects[j]) for i, j in pairs]
 

@@ -284,15 +284,16 @@ def _binomial_stderr(est, n_samples: int) -> np.ndarray:
     there.  Estimates strictly inside (0, 1) are at least 1/n from either end
     and keep their value.
     """
-    n = max(n_samples, 1)
-    p = np.clip(est, 0.5 / n, 1 - 0.5 / n)
-    return np.sqrt(p * (1 - p) / n)
+    p = np.clip(est, 0.5 / n_samples, 1 - 0.5 / n_samples)
+    return np.sqrt(p * (1 - p) / n_samples)
 
 
 def _run_shards(fn, n_samples: int, shard_size: int, seed: int, tag: str,
                 workers: int):
     """Sum of fn(n, shard_rng(seed, tag, i)) over shards, merged in shard order;
     fn is a partial of a module-level function, so it pickles for the pool."""
+    if n_samples <= 0:
+        raise ValueError("n_samples must be positive")
     full, rem = divmod(n_samples, shard_size)
     sizes = [shard_size] * full + ([rem] if rem else [])
     rngs = [shard_rng(seed, tag, i) for i in range(len(sizes))]
@@ -390,6 +391,8 @@ def check_assumption2(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
+    if n_samples <= 0:
+        raise ValueError("n_samples must be positive")
     if m == 0:
         return Assumption2Result(1.0, 1.0, 0.0, True, n_samples)
     shard = partial(_assumption2_shard, code, decoder, noise, params, t, m)
@@ -462,7 +465,7 @@ def estimate_faithful_violation(ell: int, params: PoissonParams, times,
     horizon = float(times.max()) if len(times) else 0.0
     shard = partial(_violation_shard, ell, params, horizon, times)
     counts = _run_shards(shard, n_samples, VIOLATION_SHARD, seed, "violation", workers)
-    est = counts / n_samples if n_samples else np.zeros(len(times))
+    est = counts / n_samples
     stderr = _binomial_stderr(est, n_samples)
     return MonteCarloEstimate(times=times, estimate=est, stderr=stderr,
                               n_samples=n_samples, seed=seed)

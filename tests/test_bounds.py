@@ -347,6 +347,18 @@ def test_p_exact_quadrature_matches_uniformization():
     assert p_exact_quadrature(bi2, times) == pytest.approx(want, rel=1e-6)
 
 
+def test_p_exact_quadrature_relative_accuracy_at_tiny_p():
+    # p from 2e-19 down to 2.5e-41: relative, not absolute, accuracy
+    bi = BoundInputs(ell=10, kappa=1.0, delta=1.0, n_channels=1)
+    times = np.array([0.1, 0.03, 0.001])
+    want = [_violation_uniformized(10, 1.0, 1.0, t) for t in times]
+    assert want[-1] < 1e-40
+    # abs=0: pytest.approx would otherwise accept anything within 1e-12
+    assert p_exact_quadrature(bi, times) == pytest.approx(want, rel=1e-10, abs=0)
+    for t, w in zip(times, want):
+        assert p_exact_quadrature(bi, float(t)) == pytest.approx(w, rel=1e-10, abs=0)
+
+
 def test_p_exact_quadrature_rejects_fractional_ell():
     rates = dict(kappa=1.0, delta=1.0, n_channels=1)
     with pytest.raises(ValueError, match="ell must be a nonnegative integer"):
@@ -368,6 +380,9 @@ def test_p_exact_quadrature_closed_forms():
     assert p_exact_quadrature(bi0, ts) == pytest.approx(
         gammainc(4, 1.0 * ts), rel=1e-12)
     assert p_exact_quadrature(bi0, 2.0) == pytest.approx(gammainc(4, 2.0))
+    # no errors and no recoveries: no violation, and no 0/0 in the scaling
+    still = BoundInputs(ell=3, kappa=0.0, delta=0.0, n_channels=2)
+    assert p_exact_quadrature(still, ts).tolist() == [0.0] * 4
     with pytest.raises(ValueError):
         p_exact_quadrature(bi0, -1.0)
     with pytest.raises(ValueError, match="n_channels"):

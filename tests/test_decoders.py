@@ -1,5 +1,6 @@
 """Decoders: lookup minimality, MWPM exactness vs brute force, fuzz invariants."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -8,6 +9,9 @@ import pytest
 from aqec.decoders import (
     MajorityDecoder,
     MwpmDecoder,
+    _DP_DEFECT_CAP,
+    _blossom_min_matching,
+    _dp_min_matching,
     apply_recovery,
     build_lookup,
     mwpm_decode,
@@ -147,6 +151,34 @@ def test_mwpm_cost_matches_brute_force(L):
         assert mask.bit_count() == brute_force_match_cost(dist)
 
 
+def _matching_cost(dist, pairs):
+    assert sorted(k for p in pairs for k in p) == list(range(len(dist)))
+    return sum(dist[i][j] for i, j in pairs)
+
+
+@pytest.mark.parametrize("m", [14, 16])
+def test_dp_matches_blossom_above_the_cap(m):
+    # two independent exact engines on the same toroidal matrices, past the
+    # defect count at which the decoder switches from one to the other
+    assert m > _DP_DEFECT_CAP
+    dec = MwpmDecoder(toric_code(6))
+    rng = np.random.default_rng(140 + m)
+    for _ in range(5):
+        defects = [int(d) for d in rng.choice(36, size=m, replace=False)]
+        dist = [[dec._tdist(a, b) for b in defects] for a in defects]
+        assert _matching_cost(dist, _dp_min_matching(dist)) == \
+            _matching_cost(dist, _blossom_min_matching(dist))
+
+
+def test_dp_accepts_numpy_float_matrix():
+    rng = np.random.default_rng(21)
+    for m in (2, 4, 6, 8):
+        a = rng.uniform(0.0, 5.0, size=(m, m))
+        dist = a + a.T
+        pairs = _dp_min_matching(dist)
+        assert _matching_cost(dist, pairs) == pytest.approx(brute_force_match_cost(dist), rel=1e-12)
+
+
 def test_mwpm_single_pair_adjacent():
     code = toric_code(4)
     dec = MwpmDecoder(code)
@@ -252,3 +284,29 @@ def test_lookup_fuzz_zero_residual_syndrome(make, basis):
         residual, cls = apply_recovery(dec, frame)
         assert syndrome_of(code, residual).is_trivial
         assert len(cls) == code.k
+
+
+# -- pinned matchings ----------------------------------------------------------
+
+
+def _pinned_defect_lists():
+    """Seeded defect lists: L = 4 and 6, m in {2..12}, and {14, 16, 18} at L = 6."""
+    for L, sizes in ((4, (2, 4, 6, 8, 10, 12)), (6, (2, 4, 6, 8, 10, 12, 14, 16, 18))):
+        rng = np.random.default_rng(4000 + L)
+        for _ in range(200):
+            m = int(rng.choice(sizes))
+            yield L, [int(d) for d in rng.choice(L * L, size=m, replace=False)]
+
+
+# sha256 of every star and plaquette correction mask over _pinned_defect_lists,
+# recorded before the matcher was rewritten; it moves if any tie-break drifts
+_PINNED_MASKS_SHA256 = "c26878c504b611079d60fb99a81d24c824d88977924a1f6e90235ce86e307c92"
+
+
+def test_mwpm_masks_pinned():
+    decoders = {L: MwpmDecoder(toric_code(L)) for L in (4, 6)}
+    h = hashlib.sha256()
+    for L, defects in _pinned_defect_lists():
+        for sector in ("star", "plaquette"):
+            h.update(f"{L}:{sector}:{decoders[L].sector_correction_mask(defects, sector):x}\n".encode())
+    assert h.hexdigest() == _PINNED_MASKS_SHA256

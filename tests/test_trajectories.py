@@ -317,3 +317,23 @@ def test_epsilon_toric_worker_invariant():
     b = estimate_epsilon(code, MwpmDecoder(code), noise, **kw, workers=2)
     assert np.array_equal(a.per_family, b.per_family)
     assert a.estimate[1] > 0
+
+
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_estimators_reject_nonpositive_sample_counts(n_samples):
+    code = five_qubit_code()
+    dec = build_lookup(code)
+    noise = NoiseModel.depolarizing(5)
+    params = noise.params(1.0, 1.0 / 15.0)
+    calls = [
+        lambda: estimate_epsilon(code, dec, noise, params, [0.5], n_samples, seed=1),
+        lambda: estimate_alpha(code, dec, noise, 0.5, n_samples, seed=1),
+        lambda: check_assumption2(code, dec, noise, params, t=0.3, m=2,
+                                  n_samples=n_samples, seed=1),
+        lambda: check_assumption2(code, dec, noise, params, t=0.3, m=0,
+                                  n_samples=n_samples, seed=1),
+        lambda: estimate_faithful_violation(2, params, [0.5], n_samples, seed=1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="n_samples must be positive"):
+            call()
