@@ -381,7 +381,9 @@ def toric_perturbative(side: int, kappa: float, delta: float, dims: str = "2D") 
 
     1D ring of odd length L: shift = -2 (L! / j!) (delta/kappa)^(j+1) kappa
     with j = (L-1)/2; the 2D torus carries an extra factor L.  The shift is
-    real and negative; its magnitude estimates the logical rate.
+    real and negative; its magnitude estimates the logical rate.  Even sides
+    are rejected in both geometries: at L = 4 in 2D the exact leading
+    coefficient is 48, not the formula's 192.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
@@ -389,8 +391,8 @@ def toric_perturbative(side: int, kappa: float, delta: float, dims: str = "2D") 
         raise ValueError("side must be positive")
     if dims not in ("1D", "2D"):
         raise ValueError("dims must be '1D' or '2D'")
-    if dims == "1D" and side % 2 == 0:
-        raise ValueError("closed form needs odd side in 1D")
+    if side % 2 == 0:
+        raise ValueError("closed form needs an odd side")
     if delta == 0:
         return 0.0
     j = (side - 1) // 2

@@ -34,7 +34,6 @@ __all__ = [
     "build_lookup",
     "MwpmDecoder",
     "MajorityDecoder",
-    "mwpm_decode",
     "apply_recovery",
 ]
 
@@ -67,7 +66,7 @@ class Decoder:
         raise NotImplementedError
 
     def correction_masks(self, x_bits: int, z_bits: int) -> tuple:
-        """Hot-path variant: correction (x, z) masks for a raw frame."""
+        """Correction (x, z) masks for a raw frame, decoded from its syndrome."""
         s = Syndrome(self.syndrome_bits(x_bits, z_bits), len(self._gen_masks))
         c = self.correction(s)
         return c.x_bits, c.z_bits
@@ -159,12 +158,6 @@ class MajorityDecoder(Decoder):
             e |= cur << (i + 1)
         if e.bit_count() > n // 2:
             e ^= self._full
-        return e, 0
-
-    def correction_masks(self, x_bits: int, z_bits: int) -> tuple:
-        # Z errors are invisible to this decoder: correct X majority only
-        n = self.code.n
-        e = x_bits if x_bits.bit_count() <= n // 2 else x_bits ^ self._full
         return e, 0
 
 
@@ -370,18 +363,6 @@ class MwpmDecoder(Decoder):
         cx = self.sector_correction_mask(self._defects_from_syndrome(s.bits, "star"), "star")
         cz = self.sector_correction_mask(self._defects_from_syndrome(s.bits, "plaquette"), "plaquette")
         return PauliOperator(self.code.n, cx, cz, (cx & cz).bit_count())
-
-
-def mwpm_decode(code: StabilizerCode, s: Syndrome, sector: str) -> PauliOperator:
-    """Matching correction for one sector ("star" -> X string, "plaquette" -> Z)."""
-    if sector not in ("star", "plaquette"):
-        raise ValueError("sector must be 'star' or 'plaquette'")
-    dec = MwpmDecoder(code)
-    defects = dec._defects_from_syndrome(s.bits, sector)
-    mask = dec.sector_correction_mask(defects, sector)
-    if sector == "star":
-        return PauliOperator(code.n, mask, 0, 0)
-    return PauliOperator(code.n, 0, mask, 0)
 
 
 def apply_recovery(dec: Decoder, frame: PauliOperator) -> tuple:

@@ -39,11 +39,6 @@ __all__ = [
     "logical_states",
     "epsilon_exact",
     "delta_exact",
-    "error_norm_proxy",
-    "save_operator",
-    "load_operator",
-    "save_kraus",
-    "load_kraus",
 ]
 
 TRACE_TOL = 1e-9
@@ -95,11 +90,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def _pure(state: np.ndarray) -> np.ndarray:
-    v = np.asarray(state, dtype=complex).ravel()
-    return np.outer(v, v.conj())
 
 
 # -- structured superoperators -----------------------------------------------
@@ -502,52 +492,3 @@ def delta_exact(lind: Superoperator, recovery: KrausChannel, codewords, times,
     diff = recovered[:, :m] - recovered[:, m:]
     dist = np.abs(np.linalg.eigvalsh(diff)).sum(axis=2) / 2
     return 1.0 - dist.min(axis=1)
-
-
-def error_norm_proxy(lind: Superoperator, codeword) -> float:
-    """Frobenius norm of the generator applied to the codeword projector."""
-    return float(np.linalg.norm(lind.apply(_pure(codeword))))
-
-
-# -- serialization -----------------------------------------------------------------
-
-
-def save_operator(path, op: np.ndarray) -> None:
-    """Dense layout: two little-endian uint64 dims, then row-major complex128."""
-    op = np.ascontiguousarray(op, dtype=complex)
-    with open(path, "wb") as f:
-        f.write(np.asarray(op.shape, dtype="<u8").tobytes())
-        f.write(op.astype("<c16").tobytes())
-
-
-def load_operator(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        dims = np.frombuffer(f.read(16), dtype="<u8")
-        data = np.frombuffer(f.read(), dtype="<c16")
-    return data.reshape(int(dims[0]), int(dims[1])).astype(complex)
-
-
-def save_kraus(path, channel: KrausChannel) -> None:
-    """Count header then each operator in the dense layout; completion last."""
-    has_completion = channel.p_perp is not None
-    ops = list(channel.kraus) + ([channel.p_perp, channel.sigma] if has_completion else [])
-    with open(path, "wb") as f:
-        f.write(np.asarray([len(channel.kraus), int(has_completion)], dtype="<u8").tobytes())
-        for op in ops:
-            op = np.ascontiguousarray(op, dtype=complex)
-            f.write(np.asarray(op.shape, dtype="<u8").tobytes())
-            f.write(op.astype("<c16").tobytes())
-
-
-def load_kraus(path) -> KrausChannel:
-    with open(path, "rb") as f:
-        n_kraus, has_completion = np.frombuffer(f.read(16), dtype="<u8")
-        ops = []
-        for _ in range(int(n_kraus) + (2 if has_completion else 0)):
-            dims = np.frombuffer(f.read(16), dtype="<u8")
-            count = int(dims[0]) * int(dims[1])
-            data = np.frombuffer(f.read(count * 16), dtype="<c16")
-            ops.append(data.reshape(int(dims[0]), int(dims[1])).astype(complex))
-    if has_completion:
-        return KrausChannel(tuple(ops[:-2]), p_perp=ops[-2], sigma=ops[-1])
-    return KrausChannel(tuple(ops))

@@ -3,13 +3,15 @@
 The dynamics is unravelled as a homogeneous Poisson process with total rate
 gamma = kappa + N*Delta: each event is a recovery (probability kappa/gamma)
 or one of N error jumps.  For stabilizer codes under Pauli jumps the state is
-always (Pauli frame) x (codeword), so trajectories are simulated on packed
-frame bits and recoveries reduce to syndrome decoding.
+always (Pauli frame) x (codeword), so trajectories are simulated on the
+frame's syndrome and logical parity, and recoveries reduce to syndrome
+decoding.
 
 Every frame estimator draws each sample with one event draw (a Poisson count,
-then uniform times, then uniform labels; see sample_trajectory) and walks it
-with one frame walk that reads the logical class out at given times.  Decodes
-are memoized by frame for every code: the same few frames recur.
+then uniform times, then uniform labels; see _draw_events) and walks it with
+one frame walk that reads the logical class out at given times.  The walk
+carries the frame only as phi = (syndrome, logical parity), one int that each
+error event XORs, and decodes once per distinct syndrome per shard.
 
 Determinism contract: every estimator draws from per-shard streams keyed by
 (root seed, estimator tag, shard index) and merges shard statistics in shard
@@ -26,14 +28,12 @@ from functools import partial
 import numpy as np
 
 from .decoders import Decoder
-from .paulis import PauliOperator, StabilizerCode
+from .paulis import PauliOperator, StabilizerCode, Syndrome, commutes
 
 __all__ = [
     "PoissonParams",
     "NoiseModel",
-    "Trajectory",
     "shard_rng",
-    "sample_trajectory",
     "estimate_epsilon",
     "estimate_alpha",
     "check_assumption2",
@@ -118,15 +118,6 @@ class NoiseModel:
         return NoiseModel("dephasing", n, tuple(PauliOperator.single(n, q, "Z") for q in range(n)))
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Time-ordered events in [0, horizon]; label 0 = recovery, mu >= 1 = error."""
-
-    times: np.ndarray
-    labels: np.ndarray
-    horizon: float
-
-
 def shard_rng(root_seed: int, tag: str, shard: int) -> np.random.Generator:
     """Counter-based stream for one shard; streams never overlap across tags."""
     key = hashlib.blake2b(f"{root_seed}:{tag}:{shard}".encode(), digest_size=16).digest()
@@ -163,79 +154,78 @@ def _draw_events(rng: np.random.Generator, gamma: float, horizon: float, cum) ->
     return times, np.searchsorted(cum, rng.random(k), side="right")
 
 
-def sample_trajectory(params: PoissonParams, horizon: float,
-                      rng: np.random.Generator, noise: NoiseModel = None) -> Trajectory:
-    """One trajectory: event count ~ Poisson(gamma*t), labels i.i.d. by rates."""
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    times, labels = _draw_events(rng, params.gamma, horizon,
-                                 _label_thresholds(params, noise))
-    return Trajectory(times, labels.astype(np.int64), horizon)
-
-
 # -- frame Monte Carlo core ---------------------------------------------------
 
 
+def _anticommutation_bits(checks, op: PauliOperator) -> int:
+    """Bit j set iff ``op`` anticommutes with ``checks[j]``."""
+    return sum((not commutes(c, op)) << j for j, c in enumerate(checks))
+
+
 class _FrameEngine:
-    """Precomputed masks and a memoized decode for the per-sample frame walk."""
+    """The frame walk on phi, with one decode per distinct syndrome.
+
+    Under Pauli jumps a syndrome-only recovery sees a frame only through
+    phi = (syndrome, logical parity), which is linear in the frame.  phi
+    packs into one int: the low r = n - k bits are the syndrome in generator
+    order; above them, k bits mark anticommutation with logical_z[i] (an X
+    flip), then k bits with logical_x[i] (a Z flip).
+    """
 
     def __init__(self, code: StabilizerCode, decoder: Decoder, noise: NoiseModel):
         if decoder.code is not code and decoder.code.name != code.name:
             raise ValueError("decoder bound to a different code")
         self.decoder = decoder
-        self.jump_x = [e.x_bits for e in noise.jumps]
-        self.jump_z = [e.z_bits for e in noise.jumps]
-        # logical masks: class bit i set iff residual anticommutes with the mask
-        self.lz_masks = [(l.x_bits, l.z_bits) for l in code.logical_z]
-        self.lx_masks = [(l.x_bits, l.z_bits) for l in code.logical_x]
-        self._cache = {}  # frame (x, z) -> class; few distinct frames recur
+        self.r = len(code.generators)
+        self.k = code.k
+        self.logicals = code.logical_z + code.logical_x
+        checks = code.generators + self.logicals
+        self.jump_phi = [_anticommutation_bits(checks, e) for e in noise.jumps]
+        self._memo = {}  # syndrome -> phi of its correction; one per shard
 
-    def decode_class(self, fx: int, fz: int) -> tuple:
-        """Logical class bits (x flips, z flips) after decoding frame (fx, fz)."""
-        hit = self._cache.get((fx, fz))
-        if hit is not None:
-            return hit
-        cx, cz = self.decoder.correction_masks(fx, fz)
-        rx, rz = fx ^ cx, fz ^ cz
-        clsx = clsz = 0
-        for i, (mx, mz) in enumerate(self.lz_masks):
-            if ((rx & mz).bit_count() + (rz & mx).bit_count()) & 1:
-                clsx |= 1 << i
-        for i, (mx, mz) in enumerate(self.lx_masks):
-            if ((rx & mz).bit_count() + (rz & mx).bit_count()) & 1:
-                clsz |= 1 << i
-        self._cache[(fx, fz)] = (clsx, clsz)
-        return clsx, clsz
+    def _correction_phi(self, s: int) -> int:
+        """phi of the decoder's correction for syndrome s, memoized.
+
+        The correction's syndrome is s by the decoder contract, so only its
+        logical parity is computed.
+        """
+        c = self.decoder.correction(Syndrome(s, self.r))
+        phi = self._memo[s] = s | _anticommutation_bits(self.logicals, c) << self.r
+        return phi
 
     def walk(self, ev_t, ev_l, readouts, commit: bool) -> list:
         """Logical class (x, z) at each readout time of one event draw.
 
-        Error events multiply the frame.  A recovery event decodes the frame,
-        XORs its class into the accumulator and zeroes the frame; tracking
-        class bits with a zero frame is exact by coset linearity.  A readout
-        decodes the frame as it stands, and with commit=True it is also a
-        recovery.  Events at a readout time happen before the readout.
+        An error event XORs the jump's phi into the frame's.  A recovery
+        multiplies the frame by the correction of its syndrome, i.e. XORs the
+        correction's phi; the syndrome bits clear and the logical bits keep
+        the residual's class, which is coset-invariant (coset linearity).  A
+        readout reads the class of the frame after one more recovery, and with
+        commit=True that recovery is applied.  Events at a readout time happen
+        before the readout.
         """
-        jump_x, jump_z, decode = self.jump_x, self.jump_z, self.decode_class
+        jump_phi, memo, miss = self.jump_phi, self._memo, self._correction_phi
+        r, smask, kmask = self.r, (1 << self.r) - 1, (1 << self.k) - 1
         ev_t, ev_l = ev_t.tolist(), ev_l.tolist()
-        k = len(ev_t)
-        fx = fz = accx = accz = 0
-        ev = 0
+        n_ev = len(ev_t)
+        phi = ev = 0
         out = []
         for t_read in readouts:
-            while ev < k and ev_t[ev] <= t_read:
+            while ev < n_ev and ev_t[ev] <= t_read:
                 lab = ev_l[ev]
                 ev += 1
                 if lab:
-                    fx ^= jump_x[lab - 1]
-                    fz ^= jump_z[lab - 1]
+                    phi ^= jump_phi[lab - 1]
                     continue
-                cx, cz = decode(fx, fz)
-                accx, accz, fx, fz = accx ^ cx, accz ^ cz, 0, 0
-            cx, cz = decode(fx, fz)
-            out.append((accx ^ cx, accz ^ cz))
+                s = phi & smask
+                c = memo.get(s)
+                phi ^= miss(s) if c is None else c
+            s = phi & smask
+            c = memo.get(s)
+            res = phi ^ (miss(s) if c is None else c)
+            out.append(((res >> r) & kmask, res >> (r + self.k)))
             if commit:
-                accx, accz, fx, fz = accx ^ cx, accz ^ cz, 0, 0
+                phi = res
         return out
 
 

@@ -339,12 +339,12 @@ def test_p_exact_quadrature_matches_uniformization():
     bi = {ell: BoundInputs(ell=ell, kappa=1.0, delta=1.0, n_channels=1) for ell in (6, 10)}
     for ell, t in ((6, 0.1), (10, 0.1), (10, 1.0), (6, 12.0), (6, 60.0)):
         want = _violation_uniformized(ell, 1.0, 1.0, t)
-        assert p_exact_quadrature(bi[ell], t) == pytest.approx(want, rel=1e-6)
+        assert p_exact_quadrature(bi[ell], t) == pytest.approx(want, rel=1e-6, abs=0)
     assert _violation_uniformized(10, 1.0, 1.0, 0.1) < 1e-18
     times = np.array([0.5, 3.0, 9.0])
     bi2 = BoundInputs(ell=3, kappa=2.5, delta=0.3, n_channels=2)
     want = [_violation_uniformized(3, 2.5, 0.6, t) for t in times]
-    assert p_exact_quadrature(bi2, times) == pytest.approx(want, rel=1e-6)
+    assert p_exact_quadrature(bi2, times) == pytest.approx(want, rel=1e-6, abs=0)
 
 
 def test_p_exact_quadrature_relative_accuracy_at_tiny_p():
@@ -505,6 +505,9 @@ def test_toric_perturbative_values():
         3 * toric_perturbative(3, 2.0, 0.1, "1D"), rel=1e-12)
     with pytest.raises(ValueError):
         toric_perturbative(4, 1.0, 0.1, "1D")
+    # even 2D sides too: at L = 4 the exact coefficient is 48, not the formula's 192
+    with pytest.raises(ValueError, match="odd side"):
+        toric_perturbative(4, 1.0, 0.1, "2D")
     with pytest.raises(ValueError):
         toric_perturbative(3, 1.0, 0.1, "3D")
 

@@ -14,7 +14,6 @@ from aqec.decoders import (
     _dp_min_matching,
     apply_recovery,
     build_lookup,
-    mwpm_decode,
 )
 from aqec.paulis import (
     PauliOperator,
@@ -221,15 +220,17 @@ def test_mwpm_from_syndrome_matches_masks():
 
 
 def test_mwpm_decode_sectors():
+    # a star syndrome is corrected by an X string, a plaquette one by a Z string
     code = toric_code(4)
+    dec = MwpmDecoder(code)
     x_err = PauliOperator.single(code.n, 5, "X")
     s = syndrome_of(code, x_err)
-    corr = mwpm_decode(code, s, "star")
+    corr = dec.correction(s)
     assert corr.z_bits == 0
     assert syndrome_of(code, corr).bits == s.bits
     z_err = PauliOperator.single(code.n, 5, "Z")
     s = syndrome_of(code, z_err)
-    corr = mwpm_decode(code, s, "plaquette")
+    corr = dec.correction(s)
     assert corr.x_bits == 0
     assert syndrome_of(code, corr).bits == s.bits
 

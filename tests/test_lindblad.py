@@ -15,17 +15,12 @@ from aqec.lindblad import (
     default_directions,
     delta_exact,
     epsilon_exact,
-    error_norm_proxy,
     evolve,
     fibonacci_directions,
     kl_matrix,
-    load_kraus,
-    load_operator,
     logical_states,
     pauli_matrix,
     recovery_lindbladian,
-    save_kraus,
-    save_operator,
     stabilizer_recovery,
 )
 from aqec.paulis import PauliOperator, five_qubit_code, repetition_code
@@ -323,41 +318,3 @@ def test_epsilon_exact_matches_trajectory_mc():
                           n_samples=20000, seed=77)
     for i in range(len(times)):
         assert abs(mc.estimate[i] - eps[i]) < 3 * mc.stderr[i] + 1e-12
-
-
-def test_error_norm_proxy_values():
-    zero, one = binomial_codewords(1)
-    d = len(zero)
-    osc = TruncatedOscillator(d)
-    lind = build_lindbladian([(osc.a, 1 / 3), (osc.adag, 1 / 3), (osc.number, 1 / 3)])
-    assert error_norm_proxy(lind, zero) == pytest.approx(6.50, rel=0.02)
-    zero3, _ = binomial_codewords(3)
-    osc3 = TruncatedOscillator(len(zero3))
-    lind3 = build_lindbladian([(osc3.a, 1 / 3), (osc3.adag, 1 / 3), (osc3.number, 1 / 3)])
-    assert error_norm_proxy(lind3, zero3) == pytest.approx(61.0, rel=0.02)
-    null = build_lindbladian([(np.eye(d, dtype=complex), 1.0)])
-    assert error_norm_proxy(null, zero) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_serialization_roundtrip(tmp_path):
-    op = RNG.normal(size=(5, 3)) + 1j * RNG.normal(size=(5, 3))
-    path = tmp_path / "op.bin"
-    save_operator(path, op)
-    assert np.array_equal(load_operator(path), op)
-    code = repetition_code(3)
-    rec = stabilizer_recovery(code, MajorityDecoder(code))
-    kpath = tmp_path / "chan.bin"
-    save_kraus(kpath, rec)
-    back = load_kraus(kpath)
-    assert len(back.kraus) == len(rec.kraus)
-    rho = random_density(8)
-    assert np.abs(back.apply(rho) - rec.apply(rho)).max() < 1e-12
-    # with completion
-    zero, one = binomial_codewords(1)
-    osc = TruncatedOscillator(len(zero))
-    rec2 = build_recovery([zero, one], [np.eye(len(zero), dtype=complex), osc.a])
-    save_kraus(kpath, rec2)
-    back2 = load_kraus(kpath)
-    assert back2.p_perp is not None
-    rho = random_density(len(zero))
-    assert np.abs(back2.apply(rho) - rec2.apply(rho)).max() < 1e-12

@@ -5,17 +5,26 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from aqec.decoders import LookupDecoder, MajorityDecoder, MwpmDecoder, build_lookup
-from aqec.paulis import StabilizerCode, five_qubit_code, repetition_code, toric_code
+from aqec.decoders import MajorityDecoder, MwpmDecoder, apply_recovery, build_lookup
+from aqec.paulis import (
+    PauliOperator,
+    five_qubit_code,
+    multiply,
+    repetition_code,
+    syndrome_of,
+    toric_code,
+)
 from aqec.trajectories import (
     FRAME_SHARD,
     NoiseModel,
     PoissonParams,
+    _draw_events,
+    _FrameEngine,
+    _label_thresholds,
     check_assumption2,
     estimate_alpha,
     estimate_epsilon,
     estimate_faithful_violation,
-    sample_trajectory,
     shard_rng,
 )
 
@@ -60,15 +69,16 @@ def test_trajectory_moments_and_labels():
     params = PoissonParams(kappa=1.0, delta=1.0 / 15.0, n_channels=15)
     rng = shard_rng(11, "traj", 0)
     horizon = 2.0
+    cum = _label_thresholds(params)
     total = recov = 0
     reps = 2000
     for _ in range(reps):
-        tr = sample_trajectory(params, horizon, rng)
-        assert np.all(np.diff(tr.times) >= 0)
-        assert tr.times.size == 0 or (tr.times[0] >= 0 and tr.times[-1] <= horizon)
-        assert np.all((tr.labels >= 0) & (tr.labels <= 15))
-        total += tr.labels.size
-        recov += int((tr.labels == 0).sum())
+        times, labels = _draw_events(rng, params.gamma, horizon, cum)
+        assert np.all(np.diff(times) >= 0)
+        assert times.size == 0 or (times[0] >= 0 and times[-1] <= horizon)
+        assert np.all((labels >= 0) & (labels <= 15))
+        total += labels.size
+        recov += int((labels == 0).sum())
     mean = params.gamma * horizon * reps
     assert abs(total - mean) < 3 * np.sqrt(mean)
     frac = recov / total
@@ -80,10 +90,11 @@ def test_trajectory_weighted_labels():
     noise = NoiseModel("biased", 2, jumps, weights=(3.0, 1.0))
     params = noise.params(kappa=0.0, delta=0.5)
     rng = shard_rng(3, "traj", 1)
+    cum = _label_thresholds(params, noise)
     counts = np.zeros(3)
     for _ in range(500):
-        tr = sample_trajectory(params, 4.0, rng, noise)
-        for lab in tr.labels:
+        _, labels = _draw_events(rng, params.gamma, 4.0, cum)
+        for lab in labels:
             counts[lab] += 1
     assert counts[0] == 0
     n = counts.sum()
@@ -92,10 +103,12 @@ def test_trajectory_weighted_labels():
 
 def test_trajectory_degenerate():
     rng = shard_rng(0, "traj", 2)
-    tr = sample_trajectory(PoissonParams(0.0, 0.0, 0), 5.0, rng)
-    assert tr.times.size == 0 and tr.labels.size == 0
-    tr = sample_trajectory(PoissonParams(1.0, 1.0, 2), 0.0, rng)
-    assert tr.times.size == 0
+    params = PoissonParams(0.0, 0.0, 0)
+    times, labels = _draw_events(rng, params.gamma, 5.0, _label_thresholds(params))
+    assert times.size == 0 and labels.size == 0
+    params = PoissonParams(1.0, 1.0, 2)
+    times, _ = _draw_events(rng, params.gamma, 0.0, _label_thresholds(params))
+    assert times.size == 0
 
 
 def test_epsilon_no_noise_is_zero():
@@ -299,8 +312,9 @@ def test_zero_rates_draw_nothing_and_do_not_warn():
     params = noise.params(0.0, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tr = sample_trajectory(params, 2.0, shard_rng(0, "traj", 3), noise)
-        assert tr.times.size == 0 and tr.labels.size == 0
+        times, labels = _draw_events(shard_rng(0, "traj", 3), params.gamma, 2.0,
+                                     _label_thresholds(params, noise))
+        assert times.size == 0 and labels.size == 0
         res = estimate_epsilon(code, dec, noise, params, [0.5, 1.0], 100, seed=1)
         assert np.all(res.estimate == 0.0)
         r = check_assumption2(code, dec, noise, params, t=0.5, m=3, n_samples=100, seed=1)
@@ -337,3 +351,111 @@ def test_estimators_reject_nonpositive_sample_counts(n_samples):
     for call in calls:
         with pytest.raises(ValueError, match="n_samples must be positive"):
             call()
+
+
+# -- the phi walk against Pauli products ------------------------------------------
+
+
+def _reference_walk(decoder, noise, ev_t, ev_l, readouts, commit):
+    """The frame walk on whole Pauli frames, decoded by apply_recovery.
+
+    Returns the (x, z) class bitmasks at each readout and the set of
+    syndromes decoded on the way.
+    """
+    code = decoder.code
+    frame = PauliOperator.identity(code.n)
+    seen = set()
+
+    def recover(f):
+        seen.add(syndrome_of(code, f).bits)
+        return apply_recovery(decoder, f)
+
+    out = []
+    ev = 0
+    for t_read in readouts:
+        while ev < len(ev_t) and ev_t[ev] <= t_read:
+            lab = int(ev_l[ev])
+            ev += 1
+            frame = multiply(noise.jumps[lab - 1], frame) if lab else recover(frame)[0]
+        residual, letters = recover(frame)
+        out.append((sum((c in "XY") << i for i, c in enumerate(letters)),
+                    sum((c in "ZY") << i for i, c in enumerate(letters))))
+        if commit:
+            frame = residual
+    return out, seen
+
+
+def _walk_setup(name):
+    """(decoder, noise, (kappa, delta)) of one oracle setup."""
+    if name == "five_lookup":
+        code = five_qubit_code()
+        return build_lookup(code), NoiseModel.depolarizing(5), (1.0, 0.1)
+    if name == "rep5_majority":
+        return MajorityDecoder(repetition_code(5)), NoiseModel.bit_flip(5), (1.0, 0.3)
+    code = toric_code(3)
+    return MwpmDecoder(code), NoiseModel.depolarizing(code.n), (2.0, 0.05)
+
+
+@pytest.mark.parametrize("commit", [False, True])
+@pytest.mark.parametrize("name", ["five_lookup", "rep5_majority", "toric3_mwpm"])
+def test_phi_walk_matches_pauli_reference(name, commit):
+    dec, noise, rates = _walk_setup(name)
+    params = noise.params(*rates)
+    engine = _FrameEngine(dec.code, dec, noise)
+    rng = shard_rng(53, name, int(commit))
+    cum = _label_thresholds(params, noise)
+    readouts = [0.3, 0.7, 1.0, 1.0, 1.6]
+    classes = set()
+    for _ in range(150):
+        ev_t, ev_l = _draw_events(rng, params.gamma, readouts[-1], cum)
+        want, _ = _reference_walk(dec, noise, ev_t, ev_l, readouts, commit)
+        assert engine.walk(ev_t, ev_l, readouts, commit) == want
+        classes.update(want)
+    assert len(classes) > 1  # some draws end in a logical flip
+    if name == "toric3_mwpm":
+        assert any(x and z for x, z in classes)  # both sectors, and Y
+
+
+def test_phi_walk_decodes_once_per_distinct_syndrome():
+    dec, noise, rates = _walk_setup("toric3_mwpm")
+    ref_dec = _walk_setup("toric3_mwpm")[0]  # its decodes are not counted
+    params = noise.params(*rates)
+    calls = []
+    correction = dec.correction
+
+    def counted(s):
+        calls.append(s.bits)
+        return correction(s)
+
+    dec.correction = counted
+    engine = _FrameEngine(dec.code, dec, noise)
+    rng = shard_rng(59, "count", 0)
+    cum = _label_thresholds(params, noise)
+    readouts = [0.5, 1.0, 1.5]
+    seen = set()
+    for _ in range(200):
+        ev_t, ev_l = _draw_events(rng, params.gamma, readouts[-1], cum)
+        engine.walk(ev_t, ev_l, readouts, True)
+        seen |= _reference_walk(ref_dec, noise, ev_t, ev_l, readouts, True)[1]
+    assert len(calls) == len(set(calls))
+    assert set(calls) == seen
+    assert len(seen) > 10
+
+
+# -- pinned estimator outputs: a pure refactor keeps every one of them -----------
+
+
+def test_estimator_outputs_pinned():
+    code = toric_code(3)
+    noise = NoiseModel.depolarizing(code.n)
+    n = FRAME_SHARD + 100  # two shards
+    res = estimate_epsilon(code, MwpmDecoder(code), noise, noise.params(2.0, 0.02),
+                           [0.25, 1.0, 2.0], n, seed=43)
+    assert np.rint(res.per_family * n).astype(int).tolist() == [
+        [5, 75, 213], [6, 75, 199], [11, 135, 355]]
+    code = five_qubit_code()
+    noise = NoiseModel.depolarizing(5)
+    r = check_assumption2(code, build_lookup(code), noise, noise.params(1.0, 0.1),
+                          t=0.3, m=3, n_samples=n, seed=47)
+    assert (r.lhs, r.rhs, r.sigma) == (
+        0.8353193517635844, 0.9082459485224023, 0.004963082009066641)
