@@ -53,15 +53,14 @@ __all__ = [
 class BoundInputs:
     """Shared parameter bag; each evaluator validates the fields it needs.
 
-    ell: error radius; h: tolerable error weight; d: distance (documentation
-    only); xi: tolerable-weight failure probability; chi: bound prefactor;
-    kappa: recovery rate; delta: per-channel error rate; n_channels: N;
-    l_e_norm: the induced error-generator norm; r0: soft-threshold scale.
+    ell: error radius; h: tolerable error weight; xi: tolerable-weight
+    failure probability; chi: bound prefactor; kappa: recovery rate; delta:
+    per-channel error rate; n_channels: N; l_e_norm: the induced
+    error-generator norm; r0: soft-threshold scale.
     """
 
     ell: int = None
     h: float = None
-    d: int = None
     xi: float = None
     chi: float = None
     kappa: float = None
@@ -71,12 +70,12 @@ class BoundInputs:
     r0: float = None
 
     def __post_init__(self):
-        for name in ("ell", "h", "d", "xi", "chi", "kappa", "delta",
+        for name in ("ell", "h", "xi", "chi", "kappa", "delta",
                      "n_channels", "l_e_norm", "r0"):
             v = getattr(self, name)
             if v is not None and v < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        for name in ("ell", "h"):
+        for name in ("ell", "h", "n_channels"):
             v = getattr(self, name)
             if v is not None and not float(v).is_integer():
                 raise ValueError(f"{name} must be a nonnegative integer")
@@ -190,6 +189,9 @@ def solve_recurrence(h: int, n: int, p1: float) -> RecurrenceSolution:
     q_v = (1 - v/n) p1 / (1 - (v/n) p1 q_{v-1}), every term positive and
     q_v <= 1, so there is no cancellation; log s_v = sum_{u >= v} log q_u.
     """
+    if not (float(h).is_integer() and float(n).is_integer()):
+        raise ValueError(f"h and n must be integers, got h={h}, n={n}")
+    h, n = int(h), int(n)
     if h < 0 or h >= n:
         raise ValueError("need 0 <= h < n")
     if not 0 < p1 <= 1:
@@ -211,7 +213,6 @@ def solve_recurrence(h: int, n: int, p1: float) -> RecurrenceSolution:
 def theorem3_bound(inputs: BoundInputs, t):
     """Walk bound: 1 - exp(-(1-xi) N Delta s_1 t - xi (kappa + N Delta) t)."""
     inputs.require("xi", "h", "kappa", "delta", "n_channels")
-    n = int(inputs.n_channels)
     nd = inputs.total_rate
     gamma = inputs.kappa + nd
     p1 = nd / gamma if gamma > 0 else 0.0
@@ -219,7 +220,7 @@ def theorem3_bound(inputs: BoundInputs, t):
         s1 = 0.0
     else:
         with np.errstate(under="ignore"):
-            s1 = math.exp(solve_recurrence(int(inputs.h), n, p1).log_s1)
+            s1 = math.exp(solve_recurrence(inputs.h, inputs.n_channels, p1).log_s1)
     rate = (1 - inputs.xi) * nd * s1 + inputs.xi * gamma
     out = -np.expm1(-rate * np.asarray(t, dtype=float))
     return out if out.ndim else float(out)
@@ -313,7 +314,7 @@ def p_exact_quadrature(inputs: BoundInputs, t):
     """
     inputs.require("ell", "kappa", "delta", "n_channels")
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(times < 0):
+    if not np.all(times >= 0):  # a NaN fails the comparison too
         raise ValueError("t must be nonnegative")
     ell = int(inputs.ell)
     nd, kappa = inputs.total_rate, inputs.kappa

@@ -24,6 +24,7 @@ from .paulis import (
     StabilizerCode,
     Syndrome,
     _toric_edges,
+    anticommutation_bits,
     logical_class,
     multiply,
     syndrome_of,
@@ -42,39 +43,27 @@ _LOOKUP_SYNDROME_CAP = 24  # 2^(n-k) table entries; hard memory budget
 _BASIS_LETTERS = {"x": "X", "z": "Z", "pauli": "XYZ"}
 
 
-def _anticommute_bit(gx: int, gz: int, ex: int, ez: int) -> int:
-    return ((gx & ez).bit_count() + (gz & ex).bit_count()) & 1
-
-
 class Decoder:
     """Base: bind a code and map syndromes to corrections."""
 
-    kind = "abstract"
-
     def __init__(self, code: StabilizerCode):
         self.code = code
-        # generator masks for fast syndrome computation from raw frame bits
-        self._gen_masks = [(g.x_bits, g.z_bits) for g in code.generators]
 
     def syndrome_bits(self, x_bits: int, z_bits: int) -> int:
-        bits = 0
-        for a, (gx, gz) in enumerate(self._gen_masks):
-            bits |= _anticommute_bit(gx, gz, x_bits, z_bits) << a
-        return bits
+        return anticommutation_bits(self.code.generators,
+                                    PauliOperator(self.code.n, x_bits, z_bits))
 
     def correction(self, s: Syndrome) -> PauliOperator:
         raise NotImplementedError
 
     def correction_masks(self, x_bits: int, z_bits: int) -> tuple:
         """Correction (x, z) masks for a raw frame, decoded from its syndrome."""
-        s = Syndrome(self.syndrome_bits(x_bits, z_bits), len(self._gen_masks))
+        s = Syndrome(self.syndrome_bits(x_bits, z_bits), len(self.code.generators))
         c = self.correction(s)
         return c.x_bits, c.z_bits
 
 
 class LookupDecoder(Decoder):
-    kind = "lookup"
-
     def __init__(self, code: StabilizerCode, table: dict):
         super().__init__(code)
         self.table = table  # syndrome bits -> (corr_x, corr_z)
@@ -135,8 +124,6 @@ def build_lookup(code: StabilizerCode, error_basis: str = "pauli") -> LookupDeco
 class MajorityDecoder(Decoder):
     """Closed-form majority vote for the bit-flip repetition code."""
 
-    kind = "majority"
-
     def __init__(self, code: StabilizerCode):
         if not code.name.startswith("repetition"):
             raise ValueError("majority decoding requires a repetition code")
@@ -144,21 +131,17 @@ class MajorityDecoder(Decoder):
         self._full = (1 << code.n) - 1
 
     def correction(self, s: Syndrome) -> PauliOperator:
-        cx, cz = self._from_syndrome(s.bits)
-        return PauliOperator(self.code.n, cx, cz, 0)
-
-    def _from_syndrome(self, bits: int) -> tuple:
         # reconstruct the X-error pattern with e_0 = 0 from boundary parities,
         # then pick the lighter of the two cosets (n odd => never a tie)
         n = self.code.n
         e = 0
         cur = 0
         for i in range(n - 1):
-            cur ^= (bits >> i) & 1
+            cur ^= (s.bits >> i) & 1
             e |= cur << (i + 1)
         if e.bit_count() > n // 2:
             e ^= self._full
-        return e, 0
+        return PauliOperator(n, e, 0, 0)
 
 
 # -- toric MWPM --------------------------------------------------------------
@@ -236,8 +219,6 @@ class MwpmDecoder(Decoder):
     and joined with Z-strings.
     """
 
-    kind = "mwpm"
-
     def __init__(self, code: StabilizerCode):
         super().__init__(code)
         L = round((code.n / 2) ** 0.5)
@@ -245,19 +226,7 @@ class MwpmDecoder(Decoder):
             raise ValueError("MwpmDecoder requires a toric code")
         self.L = L
         self._h, self._v = _toric_edges(L)
-        n2 = L * L
-        # star masks in vertex row-major order; plaquette masks face row-major
-        self._star_mask = []
-        self._plaq_mask = []
-        for r in range(L):
-            for c in range(L):
-                self._star_mask.append(
-                    (1 << self._h(r, c - 1)) | (1 << self._h(r, c))
-                    | (1 << self._v(r - 1, c)) | (1 << self._v(r, c)))
-                self._plaq_mask.append(
-                    (1 << self._h(r, c)) | (1 << self._h(r + 1, c))
-                    | (1 << self._v(r, c)) | (1 << self._v(r, c + 1)))
-        self._n_sites = n2
+        self._n_sites = L * L
         # toroidal Manhattan distance between sites, row-major: one table
         ring = [min(d, L - d) for d in range(L)]
         self._dist = [[ring[(r1 - r2) % L] + ring[(c1 - c2) % L]
@@ -267,12 +236,10 @@ class MwpmDecoder(Decoder):
     # -- defect extraction ---------------------------------------------------
 
     def star_defects(self, x_bits: int) -> list:
-        return [s for s in range(self._n_sites)
-                if (self._star_mask[s] & x_bits).bit_count() & 1]
+        return self._defects_from_syndrome(self.syndrome_bits(x_bits, 0), "star")
 
     def plaquette_defects(self, z_bits: int) -> list:
-        return [p for p in range(self._n_sites)
-                if (self._plaq_mask[p] & z_bits).bit_count() & 1]
+        return self._defects_from_syndrome(self.syndrome_bits(0, z_bits), "plaquette")
 
     def _defects_from_syndrome(self, bits: int, sector: str) -> list:
         # generator order drops the last vertex/face; restore it by parity
@@ -298,39 +265,25 @@ class MwpmDecoder(Decoder):
     def _tdist(self, s1: int, s2: int) -> int:
         return self._dist[s1][s2]
 
-    def _primal_path(self, s1: int, s2: int) -> int:
-        """Edge mask of the canonical primal path: vertical leg then horizontal."""
+    def _path(self, s1: int, s2: int, vert, horiz, shift: int) -> int:
+        """Edge mask of the canonical path between sites: vertical leg, then horizontal.
+
+        Primal paths join vertices and pass (v, h, 0); dual paths join faces
+        and pass (h, v, 1).  A step from coordinate a toward a + sgn crosses
+        edge a + shift - (sgn < 0) of the leg's edge family.
+        """
         r1, c1 = divmod(s1, self.L)
         r2, c2 = divmod(s2, self.L)
         mask = 0
         steps, sgn = self._leg(r1, r2)
         r = r1
         for _ in range(steps):
-            mask ^= 1 << (self._v(r, c1) if sgn > 0 else self._v(r - 1, c1))
+            mask ^= 1 << vert(r + shift - (sgn < 0), c1)
             r += sgn
         steps, sgn = self._leg(c1, c2)
         c = c1
         for _ in range(steps):
-            mask ^= 1 << (self._h(r2, c) if sgn > 0 else self._h(r2, c - 1))
-            c += sgn
-        return mask
-
-    def _dual_path(self, f1: int, f2: int) -> int:
-        """Edge mask of the canonical dual path between faces."""
-        r1, c1 = divmod(f1, self.L)
-        r2, c2 = divmod(f2, self.L)
-        mask = 0
-        steps, sgn = self._leg(r1, r2)
-        r = r1
-        for _ in range(steps):
-            # dual step down from face (r, c) crosses h(r+1, c); up crosses h(r, c)
-            mask ^= 1 << (self._h(r + 1, c1) if sgn > 0 else self._h(r, c1))
-            r += sgn
-        steps, sgn = self._leg(c1, c2)
-        c = c1
-        for _ in range(steps):
-            # dual step right from face (r, c) crosses v(r, c+1); left crosses v(r, c)
-            mask ^= 1 << (self._v(r2, c + 1) if sgn > 0 else self._v(r2, c))
+            mask ^= 1 << horiz(r2, c + shift - (sgn < 0))
             c += sgn
         return mask
 
@@ -348,16 +301,14 @@ class MwpmDecoder(Decoder):
         return [(defects[i], defects[j]) for i, j in pairs]
 
     def sector_correction_mask(self, defects: list, sector: str) -> int:
-        path = self._primal_path if sector == "star" else self._dual_path
+        geometry = (self._v, self._h, 0) if sector == "star" else (self._h, self._v, 1)
         mask = 0
         for a, b in self._match(defects):
-            mask ^= path(a, b)
+            mask ^= self._path(a, b, *geometry)
         return mask
 
-    def correction_masks(self, x_bits: int, z_bits: int) -> tuple:
-        cx = self.sector_correction_mask(self.star_defects(x_bits), "star")
-        cz = self.sector_correction_mask(self.plaquette_defects(z_bits), "plaquette")
-        return cx, cz
+    # bound in the class dict so tracers can wrap it per decoder class
+    correction_masks = Decoder.correction_masks
 
     def correction(self, s: Syndrome) -> PauliOperator:
         cx = self.sector_correction_mask(self._defects_from_syndrome(s.bits, "star"), "star")

@@ -85,6 +85,15 @@ class ParamSpec:
         return self.default
 
 
+@dataclass(frozen=True)
+class _Experiment:
+    """One experiment id: its runner, its verifier and its parameter schema."""
+
+    runner: object  # (params, seed, workers) -> {filename: (header, rows)}
+    verifier: object  # (tables, params) -> [(check name, ok, detail)]
+    schema: dict  # parameter name -> ParamSpec
+
+
 def _coerce(kind: str, raw: str):
     raw = raw.strip()
     if kind == "int":
@@ -107,88 +116,6 @@ def _coerce(kind: str, raw: str):
     raise ValueError(f"unknown parameter kind {kind!r}")
 
 
-_FIG5A_TIMES = ("0.01,0.0167,0.0278,0.0464,0.0774,0.129,0.215,0.359,0.599,"
-                "1.0,1.5,2.714,3.929,5.143,6.357,7.571,8.786,10.0")
-
-EXPERIMENTS = {
-    "fig2": {
-        "r0": ParamSpec("float", 1.0),
-        "kappa": ParamSpec("float", 1.0),
-        "r_values": ParamSpec("float_list", (0.005, 0.01, 0.02)),
-        "ell_max": ParamSpec("int", 100),
-        "r_grid_points": ParamSpec("int", 24),
-    },
-    "fig3": {
-        "ell": ParamSpec("int", 6),
-        "kappa": ParamSpec("float", 1.0),
-        "delta": ParamSpec("float", 1.0),
-        "n_channels": ParamSpec("int", 1),
-        "t_values": ParamSpec("float_list", (1.0, 2.5, 4.0, 5.5, 7.0, 8.5, 10.0, 11.5)),
-        "samples": ParamSpec("int", 200_000, 2_000_000),
-    },
-    "fig4a": {
-        "l_values": ParamSpec("int_list", (3, 4), (3, 4, 6, 8)),
-        "delta": ParamSpec("float", 1.0),
-        "tau_values": ParamSpec(
-            "float_list", (0.06, 0.08, 0.10, 0.115, 0.13, 0.16, 0.20, 0.30)),
-        "samples": ParamSpec("int", 10_000, 100_000),
-    },
-    "fig4b": {
-        "side": ParamSpec("int", 4, 8),
-        "kappa": ParamSpec("float", 0.0),
-        "delta": ParamSpec("float", 1.0),
-        "t_values": ParamSpec("float_list", (0.05, 0.1, 0.2)),
-        "m_values": ParamSpec("int_list", (2, 4, 8)),
-        "samples": ParamSpec("int", 20_000, 200_000),
-    },
-    "fig5a": {
-        "kappa": ParamSpec("float", 1.0),
-        "delta": ParamSpec("float", 1.0 / 15.0),
-        "t_values": ParamSpec("float_list", _coerce("float_list", _FIG5A_TIMES)),
-        "mc_samples": ParamSpec("int", 20_000, 100_000),
-    },
-    "fig5b": {
-        "l_values": ParamSpec("int_list", (4, 6, 8)),
-        "kappa_per_qubit": ParamSpec("float", 0.1),
-        "h_fraction": ParamSpec("float", 0.1031),
-        "delta": ParamSpec("float", 1.0),
-        "xi": ParamSpec("float", 0.0),
-        "t_min": ParamSpec("float", 1e-3),
-        "t_max": ParamSpec("float", 10.0),
-        "t_points": ParamSpec("int", 25),
-    },
-    "fig6": {
-        "ell_values": ParamSpec("int_list", (1, 2), (1, 2, 3)),
-        "kappa": ParamSpec("float", 1.0),
-        "delta_values": ParamSpec("float_list", (0.0005, 0.001, 0.002)),
-        "t_max": ParamSpec("float", 15.0),
-        "t_points": ParamSpec("int", 16),
-        "fit_start": ParamSpec("float", 5.0),
-    },
-    "figE7": {
-        "n_values": ParamSpec(
-            "int_list", (1000, 3162, 10_000, 31_623, 100_000),
-            (1000, 3162, 10_000, 31_623, 100_000, 316_228, 1_000_000,
-             3_162_278, 10_000_000)),
-        "kd_values": ParamSpec("float_list", (2.0, 4.0, 8.0)),
-        "h_fraction": ParamSpec("float", 0.4),
-    },
-    "figE8": {
-        "n_values": ParamSpec(
-            "int_list", (1000, 3162, 10_000, 31_623, 100_000),
-            (1000, 3162, 10_000, 31_623, 100_000, 316_228, 1_000_000,
-             3_162_278, 10_000_000)),
-        "kd_values": ParamSpec("float_list", (2.0, 4.0, 8.0)),
-        "h_fraction": ParamSpec("float", 0.5),
-    },
-    "appH": {
-        "l_values": ParamSpec("int_list", (3, 5, 7)),
-        "kappa": ParamSpec("float", 1.0),
-        "delta": ParamSpec("float", 0.01),
-    },
-}
-
-
 # -- configuration ------------------------------------------------------------------
 
 
@@ -205,7 +132,7 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; "
                              f"known: {', '.join(sorted(EXPERIMENTS))}")
-        schema = EXPERIMENTS[self.experiment]
+        schema = EXPERIMENTS[self.experiment].schema
         unknown = sorted(set(self.params) - set(schema))
         if unknown:
             raise ValueError(f"unknown parameter keys for {self.experiment}: "
@@ -239,7 +166,7 @@ def parse_config(path) -> ExperimentConfig:
     if "experiment" not in pairs:
         raise ValueError(f"{path}: missing required key 'experiment'")
     experiment = pairs.pop("experiment")
-    schema = EXPERIMENTS.get(experiment, {})
+    schema = EXPERIMENTS[experiment].schema if experiment in EXPERIMENTS else {}
     common = {}
     params = {}
     for key, raw in pairs.items():
@@ -289,7 +216,8 @@ def _sha256(path) -> str:
 
 
 def _read_csv(path) -> dict:
-    """Columns keyed by header name; numeric columns become float arrays."""
+    """Columns keyed by header name; true/false columns become bool arrays and
+    numeric columns float arrays."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     header = lines[0].split(",")
@@ -297,6 +225,9 @@ def _read_csv(path) -> dict:
     out = {}
     for j, name in enumerate(header):
         col = [row[j] for row in cells]
+        if set(col) <= {"true", "false"}:
+            out[name] = np.array([x == "true" for x in col])
+            continue
         try:
             out[name] = np.array([float(x) for x in col])
         except ValueError:
@@ -582,19 +513,6 @@ def _run_appH(p, seed, workers):
     return {"appH_table.csv": (header, rows)}
 
 
-_RUNNERS = {
-    "fig2": _run_fig2,
-    "fig3": _run_fig3,
-    "fig4a": _run_fig4a,
-    "fig4b": _run_fig4b,
-    "fig5a": _run_fig5a,
-    "fig5b": _run_fig5b,
-    "fig6": _run_fig6,
-    "figE7": _run_figE7,
-    "figE8": _run_figE8,
-    "appH": _run_appH,
-}
-
 MANIFEST_NAME = "manifest.json"
 
 
@@ -607,7 +525,7 @@ def run(config: ExperimentConfig) -> ResultManifest:
     if workers < 1:
         raise ValueError("workers must be positive")
     start = time.monotonic()
-    runner = _RUNNERS[config.experiment]
+    runner = EXPERIMENTS[config.experiment].runner
     if config.experiment == "fig6":
         tables = runner(config.params, config.seed, workers,
                         full_scale=config.full_scale)
@@ -711,9 +629,7 @@ def _verify_fig4a(tables, params):
 
 
 def _verify_fig4b(tables, params):
-    cols = tables["fig4b_interleaving.csv"]
-    holds = cols["holds"]
-    ok = bool(np.all(holds == "true")) if holds.dtype.kind == "U" else bool(np.all(holds > 0.5))
+    ok = bool(np.all(tables["fig4b_interleaving.csv"]["holds"]))
     return [("fig4b:interleaving_holds_all", ok, "")]
 
 
@@ -800,9 +716,7 @@ def _verify_figE8(tables, params):
 
 def _verify_appH(tables, params):
     cols = tables["appH_table.csv"]
-    match = cols["match"]
-    all_match = bool(np.all(match == "true")) if match.dtype.kind == "U" \
-        else bool(np.all(match > 0.5))
+    all_match = bool(np.all(cols["match"]))
     negative = bool(np.all(cols["y"] < 0)) and bool(np.all(cols["shift_2d"] < 0))
     return [
         ("appH:trace_oracle_matches_closed_form", all_match, ""),
@@ -810,17 +724,88 @@ def _verify_appH(tables, params):
     ]
 
 
-_VERIFIERS = {
-    "fig2": _verify_fig2,
-    "fig3": _verify_fig3,
-    "fig4a": _verify_fig4a,
-    "fig4b": _verify_fig4b,
-    "fig5a": _verify_fig5a,
-    "fig5b": _verify_fig5b,
-    "fig6": _verify_fig6,
-    "figE7": _verify_figE7,
-    "figE8": _verify_figE8,
-    "appH": _verify_appH,
+# -- registry ----------------------------------------------------------------------
+# One entry per experiment id: config parsing, run() and verify() all read it.
+
+_FIG5A_TIMES = ("0.01,0.0167,0.0278,0.0464,0.0774,0.129,0.215,0.359,0.599,"
+                "1.0,1.5,2.714,3.929,5.143,6.357,7.571,8.786,10.0")
+
+EXPERIMENTS = {
+    "fig2": _Experiment(_run_fig2, _verify_fig2, {
+        "r0": ParamSpec("float", 1.0),
+        "kappa": ParamSpec("float", 1.0),
+        "r_values": ParamSpec("float_list", (0.005, 0.01, 0.02)),
+        "ell_max": ParamSpec("int", 100),
+        "r_grid_points": ParamSpec("int", 24),
+    }),
+    "fig3": _Experiment(_run_fig3, _verify_fig3, {
+        "ell": ParamSpec("int", 6),
+        "kappa": ParamSpec("float", 1.0),
+        "delta": ParamSpec("float", 1.0),
+        "n_channels": ParamSpec("int", 1),
+        "t_values": ParamSpec("float_list", (1.0, 2.5, 4.0, 5.5, 7.0, 8.5, 10.0, 11.5)),
+        "samples": ParamSpec("int", 200_000, 2_000_000),
+    }),
+    "fig4a": _Experiment(_run_fig4a, _verify_fig4a, {
+        "l_values": ParamSpec("int_list", (3, 4), (3, 4, 6, 8)),
+        "delta": ParamSpec("float", 1.0),
+        "tau_values": ParamSpec(
+            "float_list", (0.06, 0.08, 0.10, 0.115, 0.13, 0.16, 0.20, 0.30)),
+        "samples": ParamSpec("int", 10_000, 100_000),
+    }),
+    "fig4b": _Experiment(_run_fig4b, _verify_fig4b, {
+        "side": ParamSpec("int", 4, 8),
+        "kappa": ParamSpec("float", 0.0),
+        "delta": ParamSpec("float", 1.0),
+        "t_values": ParamSpec("float_list", (0.05, 0.1, 0.2)),
+        "m_values": ParamSpec("int_list", (2, 4, 8)),
+        "samples": ParamSpec("int", 20_000, 200_000),
+    }),
+    "fig5a": _Experiment(_run_fig5a, _verify_fig5a, {
+        "kappa": ParamSpec("float", 1.0),
+        "delta": ParamSpec("float", 1.0 / 15.0),
+        "t_values": ParamSpec("float_list", _coerce("float_list", _FIG5A_TIMES)),
+        "mc_samples": ParamSpec("int", 20_000, 100_000),
+    }),
+    "fig5b": _Experiment(_run_fig5b, _verify_fig5b, {
+        "l_values": ParamSpec("int_list", (4, 6, 8)),
+        "kappa_per_qubit": ParamSpec("float", 0.1),
+        "h_fraction": ParamSpec("float", 0.1031),
+        "delta": ParamSpec("float", 1.0),
+        "xi": ParamSpec("float", 0.0),
+        "t_min": ParamSpec("float", 1e-3),
+        "t_max": ParamSpec("float", 10.0),
+        "t_points": ParamSpec("int", 25),
+    }),
+    "fig6": _Experiment(_run_fig6, _verify_fig6, {
+        "ell_values": ParamSpec("int_list", (1, 2), (1, 2, 3)),
+        "kappa": ParamSpec("float", 1.0),
+        "delta_values": ParamSpec("float_list", (0.0005, 0.001, 0.002)),
+        "t_max": ParamSpec("float", 15.0),
+        "t_points": ParamSpec("int", 16),
+        "fit_start": ParamSpec("float", 5.0),
+    }),
+    "figE7": _Experiment(_run_figE7, _verify_figE7, {
+        "n_values": ParamSpec(
+            "int_list", (1000, 3162, 10_000, 31_623, 100_000),
+            (1000, 3162, 10_000, 31_623, 100_000, 316_228, 1_000_000,
+             3_162_278, 10_000_000)),
+        "kd_values": ParamSpec("float_list", (2.0, 4.0, 8.0)),
+        "h_fraction": ParamSpec("float", 0.4),
+    }),
+    "figE8": _Experiment(_run_figE8, _verify_figE8, {
+        "n_values": ParamSpec(
+            "int_list", (1000, 3162, 10_000, 31_623, 100_000),
+            (1000, 3162, 10_000, 31_623, 100_000, 316_228, 1_000_000,
+             3_162_278, 10_000_000)),
+        "kd_values": ParamSpec("float_list", (2.0, 4.0, 8.0)),
+        "h_fraction": ParamSpec("float", 0.5),
+    }),
+    "appH": _Experiment(_run_appH, _verify_appH, {
+        "l_values": ParamSpec("int_list", (3, 5, 7)),
+        "kappa": ParamSpec("float", 1.0),
+        "delta": ParamSpec("float", 0.01),
+    }),
 }
 
 
@@ -844,7 +829,7 @@ def verify(manifest_path) -> VerifyReport:
         if ok and name.endswith(".csv"):
             tables[name] = _read_csv(path)
     if intact:
-        checks.extend(_VERIFIERS[manifest.experiment](tables, manifest.params))
+        checks.extend(EXPERIMENTS[manifest.experiment].verifier(tables, manifest.params))
     else:
         checks.append(("assertions", False, "skipped: checksum failures above"))
     return VerifyReport(checks=tuple(checks))

@@ -239,6 +239,15 @@ class KrausChannel:
         return out
 
 
+def _sector_projector(eye: np.ndarray, checks, bits: int) -> np.ndarray:
+    """prod_j (I +- g_j) / 2: the projector onto g_j = (-1)^(bit j) for every dense check."""
+    proj = eye
+    for j, g in enumerate(checks):
+        sign = -1.0 if (bits >> j) & 1 else 1.0
+        proj = proj @ (eye + sign * g) / 2
+    return proj
+
+
 def codespace_basis(code: StabilizerCode) -> tuple:
     """Dense codewords (|0>, |1>) of a single-logical stabilizer code.
 
@@ -247,10 +256,8 @@ def codespace_basis(code: StabilizerCode) -> tuple:
     """
     if code.k != 1:
         raise ValueError("codespace_basis supports exactly one logical qubit")
-    d = 2**code.n
-    proj = np.eye(d, dtype=complex)
-    for g in list(code.generators) + [code.logical_z[0]]:
-        proj = proj @ (np.eye(d) + pauli_matrix(g)) / 2
+    checks = [pauli_matrix(g) for g in code.generators + code.logical_z]
+    proj = _sector_projector(np.eye(2**code.n, dtype=complex), checks, 0)
     # proj has rank 1; take its dominant column and normalize
     col = proj[:, np.argmax(np.linalg.norm(proj, axis=0))]
     zero = col / np.linalg.norm(col)
@@ -265,16 +272,11 @@ def stabilizer_recovery(code: StabilizerCode, decoder) -> KrausChannel:
     correction, so the Kraus set resolves the identity exactly.
     """
     gens = [pauli_matrix(g) for g in code.generators]
-    d = 2**code.n
-    eye = np.eye(d, dtype=complex)
+    eye = np.eye(2**code.n, dtype=complex)
     kraus = []
     for bits in range(code.n_syndromes):
-        proj = eye
-        for i, g in enumerate(gens):
-            sign = -1.0 if (bits >> i) & 1 else 1.0
-            proj = proj @ (eye + sign * g) / 2
         corr = pauli_matrix(decoder.correction(Syndrome(bits, len(gens))))
-        kraus.append(corr @ proj)
+        kraus.append(corr @ _sector_projector(eye, gens, bits))
     return KrausChannel(tuple(kraus))
 
 
@@ -285,8 +287,9 @@ def _integrate_stack(lind: Superoperator, stack: np.ndarray, times,
                      rtol: float = 1e-8, atol: float = 1e-10) -> np.ndarray:
     """States (m, D, D) propagated to each time; returns (T, m, D, D)."""
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0) or np.any(np.diff(times) < 0):
-        raise ValueError("times must be nonnegative and nondecreasing")
+    # a NaN or infinite time would integrate forever
+    if not np.all(np.isfinite(times) & (times >= 0)) or np.any(np.diff(times) < 0):
+        raise ValueError("times must be finite, nonnegative and nondecreasing")
     stack = np.asarray(stack, dtype=complex)
     shape = stack.shape
 

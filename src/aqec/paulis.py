@@ -17,6 +17,7 @@ __all__ = [
     "StabilizerCode",
     "multiply",
     "commutes",
+    "anticommutation_bits",
     "syndrome_of",
     "logical_class",
     "five_qubit_code",
@@ -213,15 +214,24 @@ class StabilizerCode:
         return 1 << len(self.generators)
 
 
+def anticommutation_bits(checks, op: PauliOperator) -> int:
+    """Bit j set iff ``op`` anticommutes with ``checks[j]``.
+
+    Against a code's generators this is the syndrome of ``op``; against its
+    logical operators, its logical parity.  ``checks`` and ``op`` share n.
+    """
+    x, z = op.x_bits, op.z_bits
+    bits = 0
+    for j, c in enumerate(checks):
+        bits |= (((c.x_bits & z).bit_count() + (c.z_bits & x).bit_count()) & 1) << j
+    return bits
+
+
 def syndrome_of(code: StabilizerCode, err: PauliOperator) -> Syndrome:
     """Syndrome bits of ``err`` in the code's generator order."""
     if err.n != code.n:
         raise ValueError("qubit count mismatch")
-    bits = 0
-    for a, g in enumerate(code.generators):
-        if not commutes(g, err):
-            bits |= 1 << a
-    return Syndrome(bits, len(code.generators))
+    return Syndrome(anticommutation_bits(code.generators, err), len(code.generators))
 
 
 def logical_class(code: StabilizerCode, residual: PauliOperator) -> str:
@@ -235,12 +245,9 @@ def logical_class(code: StabilizerCode, residual: PauliOperator) -> str:
     s = syndrome_of(code, residual)
     if not s.is_trivial:
         raise ValueError("residual has nonzero syndrome; not a logical representative")
-    letters = []
-    for lx, lz in zip(code.logical_x, code.logical_z):
-        fx = not commutes(residual, lz)
-        fz = not commutes(residual, lx)
-        letters.append(_BITS_LETTER[(int(fx), int(fz))])
-    return "".join(letters)
+    fx = anticommutation_bits(code.logical_z, residual)
+    fz = anticommutation_bits(code.logical_x, residual)
+    return "".join(_BITS_LETTER[((fx >> i) & 1, (fz >> i) & 1)] for i in range(code.k))
 
 
 # -- concrete codes --------------------------------------------------------

@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .decoders import Decoder
-from .paulis import PauliOperator, StabilizerCode, Syndrome, commutes
+from .paulis import PauliOperator, StabilizerCode, Syndrome, anticommutation_bits
 
 __all__ = [
     "PoissonParams",
@@ -157,11 +157,6 @@ def _draw_events(rng: np.random.Generator, gamma: float, horizon: float, cum) ->
 # -- frame Monte Carlo core ---------------------------------------------------
 
 
-def _anticommutation_bits(checks, op: PauliOperator) -> int:
-    """Bit j set iff ``op`` anticommutes with ``checks[j]``."""
-    return sum((not commutes(c, op)) << j for j, c in enumerate(checks))
-
-
 class _FrameEngine:
     """The frame walk on phi, with one decode per distinct syndrome.
 
@@ -180,7 +175,7 @@ class _FrameEngine:
         self.k = code.k
         self.logicals = code.logical_z + code.logical_x
         checks = code.generators + self.logicals
-        self.jump_phi = [_anticommutation_bits(checks, e) for e in noise.jumps]
+        self.jump_phi = [anticommutation_bits(checks, e) for e in noise.jumps]
         self._memo = {}  # syndrome -> phi of its correction; one per shard
 
     def _correction_phi(self, s: int) -> int:
@@ -190,7 +185,7 @@ class _FrameEngine:
         logical parity is computed.
         """
         c = self.decoder.correction(Syndrome(s, self.r))
-        phi = self._memo[s] = s | _anticommutation_bits(self.logicals, c) << self.r
+        phi = self._memo[s] = s | anticommutation_bits(self.logicals, c) << self.r
         return phi
 
     def walk(self, ev_t, ev_l, readouts, commit: bool) -> list:
@@ -306,7 +301,8 @@ def estimate_epsilon(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     is exact for effective logical Pauli channels.
     """
     times = np.asarray(times, dtype=float)
-    if len(times) == 0 or np.any(np.diff(times) < 0) or times[0] < 0:
+    # phrased so that a NaN fails the comparisons
+    if len(times) == 0 or not np.all(np.diff(times) >= 0) or not times[0] >= 0:
         raise ValueError("times must be nondecreasing and nonnegative")
     shard = partial(_epsilon_shard, code, decoder, noise, params, times.tolist())
     fails = _run_shards(shard, n_samples, FRAME_SHARD, seed, "epsilon", workers)
@@ -329,6 +325,8 @@ def estimate_alpha(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     the joint Z-basis codeword; single-logical marginals are available from
     ``per_family`` of estimate_epsilon if needed.
     """
+    if not tau >= 0:
+        raise ValueError(f"tau must be nonnegative, got {tau}")
     params = PoissonParams(kappa=0.0, delta=delta, n_channels=noise.n_channels)
     shard = partial(_epsilon_shard, code, decoder, noise, params, [float(tau)])
     fails = _run_shards(shard, n_samples, FRAME_SHARD, seed, "alpha", workers)
@@ -381,6 +379,8 @@ def check_assumption2(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
+    if not t >= 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
     if m == 0:
@@ -452,6 +452,8 @@ def estimate_faithful_violation(ell: int, params: PoissonParams, times,
     if ell < 0:
         raise ValueError("ell must be nonnegative")
     times = np.asarray(times, dtype=float)
+    if not np.all(times >= 0):  # a NaN would cut every trajectory at its first gap
+        raise ValueError("times must be nonnegative")
     horizon = float(times.max()) if len(times) else 0.0
     shard = partial(_violation_shard, ell, params, horizon, times)
     counts = _run_shards(shard, n_samples, VIOLATION_SHARD, seed, "violation", workers)

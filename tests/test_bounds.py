@@ -109,6 +109,13 @@ def test_bound_inputs_reject_fractional_ell_and_h():
     assert theorem3_bound(BoundInputs(xi=0.0, h=3.0, **rates), 1.0) \
         == theorem3_bound(BoundInputs(xi=0.0, h=3, **rates), 1.0)
     assert delta_eff(BoundInputs(ell=6.0, **rates)) == delta_eff(BoundInputs(ell=6, **rates))
+    # theorem3 used to truncate N = 1000.9 to 1000 and walk the N = 1000 chain
+    with pytest.raises(ValueError, match="n_channels must be a nonnegative integer"):
+        theorem3_bound(BoundInputs(xi=0.0, h=3, kappa=1.0, delta=1 / 1000.9,
+                                   n_channels=1000.9), 1.0)
+    assert theorem3_bound(BoundInputs(xi=0.0, h=3, kappa=1.0, delta=0.001,
+                                      n_channels=1000.0), 1.0) \
+        == theorem3_bound(BoundInputs(xi=0.0, h=3, **rates), 1.0)
 
 
 def test_soft_threshold_scan():
@@ -158,6 +165,13 @@ def test_solve_recurrence_small_cases():
         solve_recurrence(5, 5, 0.5)
     with pytest.raises(ValueError):
         solve_recurrence(1, 4, 0.0)
+    # integral floats read as their integers; fractional sizes are rejected
+    want = solve_recurrence(3, 10, 0.5).log_s
+    assert solve_recurrence(3.0, 10, 0.5).log_s.tolist() == want.tolist()
+    assert solve_recurrence(3, 10.0, 0.5).log_s.tolist() == want.tolist()
+    for h, n in ((3.5, 10), (3, 10.5), (math.nan, 10)):
+        with pytest.raises(ValueError, match="h and n must be integers"):
+            solve_recurrence(h, n, 0.5)
 
 
 def test_solve_recurrence_monotone_unit_interval():
@@ -363,6 +377,9 @@ def test_p_exact_quadrature_rejects_fractional_ell():
     rates = dict(kappa=1.0, delta=1.0, n_channels=1)
     with pytest.raises(ValueError, match="ell must be a nonnegative integer"):
         p_exact_quadrature(BoundInputs(ell=2.5, **rates), 1.0)
+    for t in (-1.0, math.nan, [2.0, math.nan]):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            p_exact_quadrature(BoundInputs(ell=2, **rates), t)
     assert p_exact_quadrature(BoundInputs(ell=2.0, **rates), 1.0) \
         == p_exact_quadrature(BoundInputs(ell=2, **rates), 1.0)
 

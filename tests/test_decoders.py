@@ -219,6 +219,41 @@ def test_mwpm_from_syndrome_matches_masks():
         assert (via_syndrome.x_bits, via_syndrome.z_bits) == (cx, cz)
 
 
+def _incidence_defects(L, x_bits, z_bits):
+    """Star and plaquette defects read off the edge incidence of each vertex and
+    face, with edges h(r, c) = rL + c and v(r, c) = L^2 + rL + c."""
+    def h(r, c):
+        return (r % L) * L + c % L
+
+    def v(r, c):
+        return L * L + (r % L) * L + c % L
+
+    def odd(edges, bits):
+        return sum((bits >> e) & 1 for e in edges) % 2 == 1
+
+    sites = [(r, c) for r in range(L) for c in range(L)]
+    stars = [i for i, (r, c) in enumerate(sites)
+             if odd((h(r, c - 1), h(r, c), v(r - 1, c), v(r, c)), x_bits)]
+    plaquettes = [i for i, (r, c) in enumerate(sites)
+                  if odd((h(r, c), h(r + 1, c), v(r, c), v(r, c + 1)), z_bits)]
+    return stars, plaquettes
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+def test_defects_match_edge_incidence(L):
+    code = toric_code(L)
+    dec = MwpmDecoder(code)
+    rng = np.random.default_rng(60 + L)
+    for _ in range(200):
+        frame = random_pauli(rng, code.n, p=float(rng.uniform(0.05, 0.5)))
+        stars, plaquettes = _incidence_defects(L, frame.x_bits, frame.z_bits)
+        assert dec.star_defects(frame.x_bits) == stars
+        assert dec.plaquette_defects(frame.z_bits) == plaquettes
+        s = syndrome_of(code, frame).bits
+        assert dec._defects_from_syndrome(s, "star") == stars
+        assert dec._defects_from_syndrome(s, "plaquette") == plaquettes
+
+
 def test_mwpm_decode_sectors():
     # a star syndrome is corrected by an X string, a plaquette one by a Z string
     code = toric_code(4)

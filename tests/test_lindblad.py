@@ -86,6 +86,9 @@ def test_evolve_t0_and_validation():
     assert np.allclose(evolve(lind, rho0, 0.0).matrix, rho0)
     with pytest.raises(ValueError):
         evolve(lind, 2 * rho0, 1.0)  # trace 2
+    for t in (-1.0, np.nan, np.inf):  # NaN and inf used to integrate without end
+        with pytest.raises(ValueError, match="times must be finite, nonnegative"):
+            evolve(lind, rho0, t)
     with pytest.raises(ValueError):
         DensityMatrix(np.array([[0.5, 0.4], [0.1, 0.5]]))  # not Hermitian
 

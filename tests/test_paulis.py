@@ -7,6 +7,7 @@ import pytest
 
 from aqec.paulis import (
     PauliOperator,
+    anticommutation_bits,
     commutes,
     five_qubit_code,
     logical_class,
@@ -95,6 +96,27 @@ def test_five_qubit_code_shape():
     assert code.n == 5 and code.k == 1
     assert code.distance == 3 and code.error_radius == 1
     assert [str(g)[1:] for g in code.generators] == ["XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"]
+
+
+def _random_pauli(rng, n):
+    x, z = (int(b) for b in rng.integers(0, 1 << n, size=2))
+    return PauliOperator(n, x, z, int(rng.integers(4)))
+
+
+@pytest.mark.parametrize("make", [five_qubit_code, lambda: toric_code(3)])
+def test_anticommutation_bits_matches_commutes(make):
+    # bit j against an independent commutes() loop, for generators, logicals
+    # and random checks, and as the syndrome against the generators
+    code = make()
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        op = _random_pauli(rng, code.n)
+        for checks in (code.generators, code.logical_z + code.logical_x,
+                       [_random_pauli(rng, code.n) for _ in range(7)]):
+            want = sum((not commutes(c, op)) << j for j, c in enumerate(checks))
+            assert anticommutation_bits(checks, op) == want
+        assert syndrome_of(code, op).bits == anticommutation_bits(code.generators, op)
+    assert anticommutation_bits((), PauliOperator.identity(code.n)) == 0
 
 
 def test_five_qubit_syndrome_of_x0():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
+from aqec import trajectories
 from aqec.decoders import MajorityDecoder, MwpmDecoder, apply_recovery, build_lookup
 from aqec.paulis import (
     PauliOperator,
@@ -351,6 +352,30 @@ def test_estimators_reject_nonpositive_sample_counts(n_samples):
     for call in calls:
         with pytest.raises(ValueError, match="n_samples must be positive"):
             call()
+
+
+def test_estimators_reject_bad_times_before_sampling(monkeypatch):
+    # each bad time names its argument, and no shard is ever started
+    def no_shards(*args, **kwargs):
+        raise AssertionError("a shard ran")
+
+    monkeypatch.setattr(trajectories, "_run_shards", no_shards)
+    code = five_qubit_code()
+    dec = build_lookup(code)
+    noise = NoiseModel.depolarizing(5)
+    params = noise.params(1.0, 1.0 / 15.0)
+    for tau in (-0.5, math.nan):
+        with pytest.raises(ValueError, match="tau must be nonnegative"):
+            estimate_alpha(code, dec, noise, tau, 100, seed=1)
+    for t, m in ((-0.3, 0), (-0.3, 2), (math.nan, 2)):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            check_assumption2(code, dec, noise, params, t=t, m=m, n_samples=100, seed=1)
+    for times in ([math.nan], [0.5, math.nan], [math.nan, 0.5]):
+        with pytest.raises(ValueError, match="times must be"):
+            estimate_epsilon(code, dec, noise, params, times, 100, seed=1)
+        # a NaN used to stop every run-length trajectory after its first gap
+        with pytest.raises(ValueError, match="times must be nonnegative"):
+            estimate_faithful_violation(2, params, times + [2.0], 100, seed=1)
 
 
 # -- the phi walk against Pauli products ------------------------------------------
