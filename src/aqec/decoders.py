@@ -3,7 +3,9 @@
 Three decoder kinds: exhaustive lookup tables for small codes, exact
 minimum-weight perfect matching for the toric code (X and Z sectors decoded
 independently), and closed-form majority vote for the repetition code.
-Every decoder guarantees correction(s) has syndrome exactly s, so the frame
+A syndrome is an int in generator order: bit alpha is set iff the error
+anticommutes with generator alpha.  correction(s) accepts any s in
+[0, 2^(n-k)) and returns a Pauli whose syndrome is exactly s, so the frame
 after recovery is a zero-syndrome logical representative.
 
 All tie-breaking is deterministic: lookup enumerates candidates by
@@ -22,7 +24,6 @@ import networkx as nx
 from .paulis import (
     PauliOperator,
     StabilizerCode,
-    Syndrome,
     _toric_edges,
     anticommutation_bits,
     logical_class,
@@ -40,8 +41,6 @@ __all__ = [
 
 _LOOKUP_SYNDROME_CAP = 24  # 2^(n-k) table entries; hard memory budget
 
-_BASIS_LETTERS = {"x": "X", "z": "Z", "pauli": "XYZ"}
-
 
 class Decoder:
     """Base: bind a code and map syndromes to corrections."""
@@ -53,13 +52,12 @@ class Decoder:
         return anticommutation_bits(self.code.generators,
                                     PauliOperator(self.code.n, x_bits, z_bits))
 
-    def correction(self, s: Syndrome) -> PauliOperator:
+    def correction(self, s: int) -> PauliOperator:
         raise NotImplementedError
 
     def correction_masks(self, x_bits: int, z_bits: int) -> tuple:
         """Correction (x, z) masks for a raw frame, decoded from its syndrome."""
-        s = Syndrome(self.syndrome_bits(x_bits, z_bits), len(self.code.generators))
-        c = self.correction(s)
+        c = self.correction(self.syndrome_bits(x_bits, z_bits))
         return c.x_bits, c.z_bits
 
 
@@ -68,36 +66,31 @@ class LookupDecoder(Decoder):
         super().__init__(code)
         self.table = table  # syndrome bits -> (corr_x, corr_z)
 
-    def correction(self, s: Syndrome) -> PauliOperator:
+    def correction(self, s: int) -> PauliOperator:
         try:
-            cx, cz = self.table[s.bits]
+            cx, cz = self.table[s]
         except KeyError:
-            raise ValueError(f"syndrome {s} unreachable in the decoder's error basis")
+            raise ValueError(f"syndrome {s} outside [0, 2^{len(self.code.generators)})")
         return PauliOperator(self.code.n, cx, cz, (cx & cz).bit_count())
 
     def correction_masks(self, x_bits: int, z_bits: int) -> tuple:
         return self.table[self.syndrome_bits(x_bits, z_bits)]
 
 
-def build_lookup(code: StabilizerCode, error_basis: str = "pauli") -> LookupDecoder:
-    """Exhaustive minimum-weight lookup table over the chosen error basis.
-
-    Parameters
-    ----------
-    error_basis : {"pauli", "x", "z"}
-        Letters allowed in candidate corrections.
+def build_lookup(code: StabilizerCode) -> LookupDecoder:
+    """Exhaustive minimum-weight lookup table over n-qubit Paulis.
 
     Enumeration is breadth-first over error weight; within a weight, candidates
     are visited in ascending (x_bits, z_bits) order, so the stored
     representative is the lexicographically smallest minimum-weight coset
-    leader.  Raises if the table would exceed 2^24 entries.
+    leader.  The generators are independent, so every syndrome in [0, 2^(n-k))
+    is reached and the table is complete.  Raises if it would exceed 2^24
+    entries.
     """
-    letters = _BASIS_LETTERS[error_basis]
     n_gen = len(code.generators)
     if n_gen > _LOOKUP_SYNDROME_CAP:
         raise ValueError(f"lookup table with 2^{n_gen} entries exceeds budget")
     n = code.n
-    # syndromes unreachable in this basis simply stay absent from the table
     table = {0: (0, 0)}
     decoder = LookupDecoder(code, table)
     target = 1 << n_gen
@@ -106,7 +99,7 @@ def build_lookup(code: StabilizerCode, error_basis: str = "pauli") -> LookupDeco
             break
         candidates = []
         for qubits in itertools.combinations(range(n), w):
-            for assign in itertools.product(letters, repeat=w):
+            for assign in itertools.product("XYZ", repeat=w):
                 ex = ez = 0
                 for q, letter in zip(qubits, assign):
                     if letter != "Z":
@@ -130,14 +123,14 @@ class MajorityDecoder(Decoder):
         super().__init__(code)
         self._full = (1 << code.n) - 1
 
-    def correction(self, s: Syndrome) -> PauliOperator:
+    def correction(self, s: int) -> PauliOperator:
         # reconstruct the X-error pattern with e_0 = 0 from boundary parities,
         # then pick the lighter of the two cosets (n odd => never a tie)
         n = self.code.n
         e = 0
         cur = 0
         for i in range(n - 1):
-            cur ^= (s.bits >> i) & 1
+            cur ^= (s >> i) & 1
             e |= cur << (i + 1)
         if e.bit_count() > n // 2:
             e ^= self._full
@@ -310,9 +303,9 @@ class MwpmDecoder(Decoder):
     # bound in the class dict so tracers can wrap it per decoder class
     correction_masks = Decoder.correction_masks
 
-    def correction(self, s: Syndrome) -> PauliOperator:
-        cx = self.sector_correction_mask(self._defects_from_syndrome(s.bits, "star"), "star")
-        cz = self.sector_correction_mask(self._defects_from_syndrome(s.bits, "plaquette"), "plaquette")
+    def correction(self, s: int) -> PauliOperator:
+        cx = self.sector_correction_mask(self._defects_from_syndrome(s, "star"), "star")
+        cz = self.sector_correction_mask(self._defects_from_syndrome(s, "plaquette"), "plaquette")
         return PauliOperator(self.code.n, cx, cz, (cx & cz).bit_count())
 
 
@@ -322,7 +315,6 @@ def apply_recovery(dec: Decoder, frame: PauliOperator) -> tuple:
     Returns (residual, logical) where residual = correction * frame has zero
     syndrome and logical is its class, one letter per logical qubit.
     """
-    s = syndrome_of(dec.code, frame)
-    corr = dec.correction(s)
+    corr = dec.correction(syndrome_of(dec.code, frame))
     residual = multiply(corr, frame)
     return residual, logical_class(dec.code, residual)

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -266,11 +266,15 @@ class ResultManifest:
     def load(path) -> "ResultManifest":
         with open(path) as fh:
             body = json.load(fh)
-        return ResultManifest(
-            experiment=body["experiment"], params=body["params"],
-            seed=body["seed"], workers=body["workers"],
-            full_scale=body["full_scale"], version=body["version"],
-            files=body["files"], wall_clock_s=body["wall_clock_s"])
+        if not isinstance(body, dict):
+            raise ValueError(f"{path}: manifest is not a JSON object")
+        keys = [f.name for f in fields(ResultManifest)]
+        missing = [k for k in keys if k not in body]
+        if missing:
+            raise ValueError(f"{path}: manifest lacks key(s) {', '.join(missing)}")
+        if not isinstance(body["experiment"], str) or body["experiment"] not in EXPERIMENTS:
+            raise ValueError(f"{path}: unknown experiment {body['experiment']!r}")
+        return ResultManifest(**{k: body[k] for k in keys})
 
 
 # -- runners ------------------------------------------------------------------------
@@ -727,9 +731,6 @@ def _verify_appH(tables, params):
 # -- registry ----------------------------------------------------------------------
 # One entry per experiment id: config parsing, run() and verify() all read it.
 
-_FIG5A_TIMES = ("0.01,0.0167,0.0278,0.0464,0.0774,0.129,0.215,0.359,0.599,"
-                "1.0,1.5,2.714,3.929,5.143,6.357,7.571,8.786,10.0")
-
 EXPERIMENTS = {
     "fig2": _Experiment(_run_fig2, _verify_fig2, {
         "r0": ParamSpec("float", 1.0),
@@ -764,7 +765,9 @@ EXPERIMENTS = {
     "fig5a": _Experiment(_run_fig5a, _verify_fig5a, {
         "kappa": ParamSpec("float", 1.0),
         "delta": ParamSpec("float", 1.0 / 15.0),
-        "t_values": ParamSpec("float_list", _coerce("float_list", _FIG5A_TIMES)),
+        "t_values": ParamSpec("float_list", (
+            0.01, 0.0167, 0.0278, 0.0464, 0.0774, 0.129, 0.215, 0.359, 0.599,
+            1.0, 1.5, 2.714, 3.929, 5.143, 6.357, 7.571, 8.786, 10.0)),
         "mc_samples": ParamSpec("int", 20_000, 100_000),
     }),
     "fig5b": _Experiment(_run_fig5b, _verify_fig5b, {

@@ -17,7 +17,7 @@ from math import comb, sqrt
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .paulis import PauliOperator, StabilizerCode, Syndrome
+from .paulis import PauliOperator, StabilizerCode
 
 __all__ = [
     "DensityMatrix",
@@ -45,9 +45,10 @@ TRACE_TOL = 1e-9
 PSD_TOL = 1e-9
 EVOLVE_TRACE_TOL = 1e-8
 EVOLVE_PSD_TOL = 1e-7
-IDEMPOTENCE_TOL = 1e-8
 KL_TOL = 1e-9
 D_ALPHA_CUTOFF = 1e-10  # relative to the largest eigenvalue
+INTEGRATOR_RTOL = 1e-8
+INTEGRATOR_ATOL = 1e-10
 
 _PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -274,17 +275,16 @@ def stabilizer_recovery(code: StabilizerCode, decoder) -> KrausChannel:
     gens = [pauli_matrix(g) for g in code.generators]
     eye = np.eye(2**code.n, dtype=complex)
     kraus = []
-    for bits in range(code.n_syndromes):
-        corr = pauli_matrix(decoder.correction(Syndrome(bits, len(gens))))
-        kraus.append(corr @ _sector_projector(eye, gens, bits))
+    for s in range(1 << len(gens)):
+        corr = pauli_matrix(decoder.correction(s))
+        kraus.append(corr @ _sector_projector(eye, gens, s))
     return KrausChannel(tuple(kraus))
 
 
 # -- integration ------------------------------------------------------------------
 
 
-def _integrate_stack(lind: Superoperator, stack: np.ndarray, times,
-                     rtol: float = 1e-8, atol: float = 1e-10) -> np.ndarray:
+def _integrate_stack(lind: Superoperator, stack: np.ndarray, times) -> np.ndarray:
     """States (m, D, D) propagated to each time; returns (T, m, D, D)."""
     times = np.asarray(times, dtype=float)
     # a NaN or infinite time would integrate forever
@@ -299,18 +299,17 @@ def _integrate_stack(lind: Superoperator, stack: np.ndarray, times,
     if times[-1] == 0.0:
         return np.broadcast_to(stack, (len(times),) + shape).copy()
     sol = solve_ivp(rhs, (0.0, times[-1]), stack.reshape(-1), method="DOP853",
-                    t_eval=times, rtol=rtol, atol=atol)
+                    t_eval=times, rtol=INTEGRATOR_RTOL, atol=INTEGRATOR_ATOL)
     if not sol.success:
         raise RuntimeError(f"integrator failed: {sol.message}")
     return sol.y.T.reshape((len(times),) + shape)
 
 
-def evolve(lind: Superoperator, rho0, t: float,
-           rtol: float = 1e-8, atol: float = 1e-10) -> DensityMatrix:
+def evolve(lind: Superoperator, rho0, t: float) -> DensityMatrix:
     """rho(t) under the generator, with trace and positivity guards."""
     m0 = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=complex)
     DensityMatrix(m0)  # validate the input
-    out = _integrate_stack(lind, m0[None], [float(t)], rtol=rtol, atol=atol)[0, 0]
+    out = _integrate_stack(lind, m0[None], [float(t)])[0, 0]
     try:
         return DensityMatrix(out, trace_tol=EVOLVE_TRACE_TOL, psd_tol=EVOLVE_PSD_TOL)
     except ValueError as e:
@@ -456,15 +455,15 @@ def logical_states(codewords, directions) -> np.ndarray:
     return amp0[:, None] * zero[None, :] + amp1[:, None] * one[None, :]
 
 
-def _recovered_outputs(lind, recovery, codewords, times, directions, rtol, atol):
+def _recovered_outputs(lind, recovery, codewords, times, directions):
     states = logical_states(codewords, directions)
     stack = np.einsum("mi,mj->mij", states, states.conj())
-    evolved = _integrate_stack(lind, stack, times, rtol=rtol, atol=atol)
+    evolved = _integrate_stack(lind, stack, times)
     return states, recovery.apply(evolved)
 
 
 def epsilon_exact(lind: Superoperator, recovery: KrausChannel, codewords, times,
-                  directions=None, rtol: float = 1e-8, atol: float = 1e-10) -> np.ndarray:
+                  directions=None) -> np.ndarray:
     """Worst-case recovery infidelity over the sampled logical states.
 
     epsilon(t) = 1 - min over sampled pure states of <psi| R(rho_psi(t)) |psi>.
@@ -472,14 +471,13 @@ def epsilon_exact(lind: Superoperator, recovery: KrausChannel, codewords, times,
     """
     if directions is None:
         directions = default_directions()
-    states, recovered = _recovered_outputs(lind, recovery, codewords, times,
-                                           directions, rtol, atol)
+    states, recovered = _recovered_outputs(lind, recovery, codewords, times, directions)
     fid = np.einsum("mi,tmij,mj->tm", states.conj(), recovered, states).real
     return 1.0 - fid.min(axis=1)
 
 
 def delta_exact(lind: Superoperator, recovery: KrausChannel, codewords, times,
-                directions=None, rtol: float = 1e-8, atol: float = 1e-10) -> np.ndarray:
+                directions=None) -> np.ndarray:
     """Worst-case distinguishability loss over sampled antipodal pairs.
 
     delta(t) = 1 - min over pairs of the trace distance between the recovered
@@ -489,8 +487,7 @@ def delta_exact(lind: Superoperator, recovery: KrausChannel, codewords, times,
         directions = default_directions()
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     both = np.vstack([directions, -directions])
-    _, recovered = _recovered_outputs(lind, recovery, codewords, times, both,
-                                      rtol, atol)
+    _, recovered = _recovered_outputs(lind, recovery, codewords, times, both)
     m = len(directions)
     diff = recovered[:, :m] - recovered[:, m:]
     dist = np.abs(np.linalg.eigvalsh(diff)).sum(axis=2) / 2

@@ -8,12 +8,11 @@ XOR and popcount, which is what the Monte Carlo inner loop needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from dataclasses import dataclass
+from functools import partial
 
 __all__ = [
     "PauliOperator",
-    "Syndrome",
     "StabilizerCode",
     "multiply",
     "commutes",
@@ -145,24 +144,6 @@ def commutes(a: PauliOperator, b: PauliOperator) -> bool:
 
 
 @dataclass(frozen=True)
-class Syndrome:
-    """Bit alpha = 1 iff the error anticommutes with generator alpha."""
-
-    bits: int
-    length: int
-
-    def as_tuple(self) -> tuple:
-        return tuple((self.bits >> a) & 1 for a in range(self.length))
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.bits == 0
-
-    def __str__(self):
-        return "".join(str(b) for b in self.as_tuple())
-
-
-@dataclass(frozen=True)
 class StabilizerCode:
     """Stabilizer code with fixed generator order and canonical logicals.
 
@@ -209,10 +190,6 @@ class StabilizerCode:
         # largest weight with guaranteed correction: floor((d-1)/2)
         return (self.distance - 1) // 2
 
-    @cached_property
-    def n_syndromes(self) -> int:
-        return 1 << len(self.generators)
-
 
 def anticommutation_bits(checks, op: PauliOperator) -> int:
     """Bit j set iff ``op`` anticommutes with ``checks[j]``.
@@ -227,11 +204,11 @@ def anticommutation_bits(checks, op: PauliOperator) -> int:
     return bits
 
 
-def syndrome_of(code: StabilizerCode, err: PauliOperator) -> Syndrome:
-    """Syndrome bits of ``err`` in the code's generator order."""
+def syndrome_of(code: StabilizerCode, err: PauliOperator) -> int:
+    """Syndrome of ``err``: bit alpha set iff it anticommutes with generator alpha."""
     if err.n != code.n:
         raise ValueError("qubit count mismatch")
-    return Syndrome(anticommutation_bits(code.generators, err), len(code.generators))
+    return anticommutation_bits(code.generators, err)
 
 
 def logical_class(code: StabilizerCode, residual: PauliOperator) -> str:
@@ -242,8 +219,7 @@ def logical_class(code: StabilizerCode, residual: PauliOperator) -> str:
     Z-type flip, with both a Y.  The result is coset-invariant: multiplying
     ``residual`` by any stabilizer element does not change it.
     """
-    s = syndrome_of(code, residual)
-    if not s.is_trivial:
+    if syndrome_of(code, residual):
         raise ValueError("residual has nonzero syndrome; not a logical representative")
     fx = anticommutation_bits(code.logical_z, residual)
     fz = anticommutation_bits(code.logical_x, residual)

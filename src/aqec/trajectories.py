@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .decoders import Decoder
-from .paulis import PauliOperator, StabilizerCode, Syndrome, anticommutation_bits
+from .paulis import PauliOperator, StabilizerCode, anticommutation_bits
 
 __all__ = [
     "PoissonParams",
@@ -124,14 +124,11 @@ def shard_rng(root_seed: int, tag: str, shard: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int.from_bytes(key, "little")))
 
 
-def _label_thresholds(params: PoissonParams, noise: NoiseModel = None) -> np.ndarray:
+def _label_thresholds(params: PoissonParams, noise: NoiseModel) -> np.ndarray:
     """Cumulative label probabilities [p0, p0+p_1, ..., 1]; None when gamma = 0."""
-    if noise is None:
-        w = np.ones(params.n_channels)
-    else:
-        if noise.n_channels != params.n_channels:
-            raise ValueError("noise model and params disagree on channel count")
-        w = np.asarray(noise.weights, dtype=float)
+    if noise.n_channels != params.n_channels:
+        raise ValueError("noise model and params disagree on channel count")
+    w = np.asarray(noise.weights, dtype=float)
     if params.gamma == 0:
         return None  # no event is ever drawn, and 0/0 thresholds would be NaN
     probs = np.concatenate(([params.kappa], w * params.delta))
@@ -184,7 +181,7 @@ class _FrameEngine:
         The correction's syndrome is s by the decoder contract, so only its
         logical parity is computed.
         """
-        c = self.decoder.correction(Syndrome(s, self.r))
+        c = self.decoder.correction(s)
         phi = self._memo[s] = s | anticommutation_bits(self.logicals, c) << self.r
         return phi
 
@@ -253,12 +250,6 @@ class MonteCarloEstimate:
     n_samples: int
     seed: int
     per_family: np.ndarray = None  # (3, T) family failure rates, epsilon only
-
-    def rows(self):
-        for i, t in enumerate(self.times):
-            yield {"t": float(t), "estimate": float(self.estimate[i]),
-                   "stderr": float(self.stderr[i]),
-                   "n_samples": self.n_samples, "seed": self.seed}
 
 
 def _binomial_stderr(est, n_samples: int) -> np.ndarray:

@@ -17,7 +17,6 @@ from aqec.decoders import (
 )
 from aqec.paulis import (
     PauliOperator,
-    Syndrome,
     five_qubit_code,
     logical_class,
     repetition_code,
@@ -57,9 +56,15 @@ def test_lookup_five_qubit_table():
 def test_lookup_correction_syndrome_postcondition():
     code = five_qubit_code()
     dec = build_lookup(code)
-    for bits in range(16):
-        corr = dec.correction(Syndrome(bits, 4))
-        assert syndrome_of(code, corr).bits == bits
+    for s in range(16):
+        assert syndrome_of(code, dec.correction(s)) == s
+
+
+def test_lookup_correction_rejects_out_of_range_syndrome():
+    dec = build_lookup(five_qubit_code())
+    for s in (-1, 1 << len(dec.code.generators)):
+        with pytest.raises(ValueError, match="outside"):
+            dec.correction(s)
 
 
 def test_lookup_weight_le_radius_corrects():
@@ -71,16 +76,18 @@ def test_lookup_weight_le_radius_corrects():
             err = PauliOperator.single(5, q, letter)
             residual, cls = apply_recovery(dec, err)
             assert cls == "I"
-            assert syndrome_of(code, residual).is_trivial
+            assert syndrome_of(code, residual) == 0
 
 
 def test_lookup_x_basis_repetition():
-    code = repetition_code(5)
-    dec = build_lookup(code, error_basis="x")
-    assert len(dec.table) == 16
-    for s, (cx, cz) in dec.table.items():
-        assert cz == 0
-        assert cx.bit_count() <= 2  # majority radius of n=5
+    # the Pauli table of a bit-flip code holds X-only corrections within the
+    # majority radius, for every syndrome
+    for n in (3, 5, 7):
+        dec = build_lookup(repetition_code(n))
+        assert len(dec.table) == 1 << (n - 1)
+        for s, (cx, cz) in dec.table.items():
+            assert cz == 0
+            assert cx.bit_count() <= n // 2
 
 
 def test_lookup_weight2_coset_class_is_definite():
@@ -88,7 +95,7 @@ def test_lookup_weight2_coset_class_is_definite():
     dec = build_lookup(code)
     frame = PauliOperator.from_support(5, x_support=(0, 1))
     residual, cls = apply_recovery(dec, frame)
-    assert syndrome_of(code, residual).is_trivial
+    assert syndrome_of(code, residual) == 0
     # weight 2 exceeds the radius; class must be a fixed nontrivial letter
     assert cls in ("X", "Y", "Z")
     again = apply_recovery(dec, frame)[1]
@@ -96,12 +103,12 @@ def test_lookup_weight2_coset_class_is_definite():
 
 
 def test_majority_matches_lookup():
-    code = repetition_code(5)
-    maj = MajorityDecoder(code)
-    lut = build_lookup(code, error_basis="x")
-    for bits in range(16):
-        s = Syndrome(bits, 4)
-        assert maj.correction(s) == lut.correction(s)
+    for n in (3, 5, 7):
+        code = repetition_code(n)
+        maj = MajorityDecoder(code)
+        lut = build_lookup(code)
+        for s in range(1 << (n - 1)):
+            assert maj.correction(s) == lut.correction(s)
 
 
 def test_majority_radius():
@@ -249,7 +256,7 @@ def test_defects_match_edge_incidence(L):
         stars, plaquettes = _incidence_defects(L, frame.x_bits, frame.z_bits)
         assert dec.star_defects(frame.x_bits) == stars
         assert dec.plaquette_defects(frame.z_bits) == plaquettes
-        s = syndrome_of(code, frame).bits
+        s = syndrome_of(code, frame)
         assert dec._defects_from_syndrome(s, "star") == stars
         assert dec._defects_from_syndrome(s, "plaquette") == plaquettes
 
@@ -262,12 +269,12 @@ def test_mwpm_decode_sectors():
     s = syndrome_of(code, x_err)
     corr = dec.correction(s)
     assert corr.z_bits == 0
-    assert syndrome_of(code, corr).bits == s.bits
+    assert syndrome_of(code, corr) == s
     z_err = PauliOperator.single(code.n, 5, "Z")
     s = syndrome_of(code, z_err)
     corr = dec.correction(s)
     assert corr.x_bits == 0
-    assert syndrome_of(code, corr).bits == s.bits
+    assert syndrome_of(code, corr) == s
 
 
 def test_mwpm_weight_one_corrects():
@@ -311,14 +318,15 @@ def test_mwpm_many_defects_uses_blossom():
     (lambda: repetition_code(5), "x"),
 ])
 def test_lookup_fuzz_zero_residual_syndrome(make, basis):
+    # basis is the letter set of the random frames; the table is the Pauli one
     code = make()
-    dec = build_lookup(code, error_basis=basis)
+    dec = build_lookup(code)
     rng = np.random.default_rng(17)
     letters = "XYZ" if basis == "pauli" else basis.upper()
     for _ in range(2000):
         frame = random_pauli(rng, code.n, letters=letters, p=0.3)
         residual, cls = apply_recovery(dec, frame)
-        assert syndrome_of(code, residual).is_trivial
+        assert syndrome_of(code, residual) == 0
         assert len(cls) == code.k
 
 

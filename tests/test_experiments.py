@@ -370,6 +370,24 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
     assert cli.main(["--help"]) == 0
 
 
+_MANIFEST_BODY = {"experiment": "appH", "params": {}, "seed": 1, "workers": 1,
+                  "full_scale": False, "version": "0", "files": {}, "wall_clock_s": 0.0}
+
+
+@pytest.mark.parametrize("body,named", [
+    (dict(_MANIFEST_BODY, experiment="nope"), "unknown experiment 'nope'"),
+    (dict(_MANIFEST_BODY, experiment=["appH"]), "unknown experiment ['appH']"),
+    ({k: v for k, v in _MANIFEST_BODY.items() if k != "params"}, "lacks key(s) params"),
+    ([_MANIFEST_BODY], "not a JSON object"),
+], ids=["unknown_experiment", "list_experiment", "missing_params", "json_list"])
+def test_cli_verify_malformed_manifest_exits_1(tmp_path, capsys, body, named):
+    path = _write(tmp_path / "manifest.json", json.dumps(body))
+    assert cli.main(["verify", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+
+
 def test_cli_recurrence_output(capsys):
     assert cli.main(["recurrence", "--h", "1", "--n", "2", "--p1", "0.6"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

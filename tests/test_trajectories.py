@@ -67,10 +67,11 @@ def test_shard_rng_streams():
 
 def test_trajectory_moments_and_labels():
     # counts ~ Poisson(gamma t); recovery fraction ~ p0
-    params = PoissonParams(kappa=1.0, delta=1.0 / 15.0, n_channels=15)
+    noise = NoiseModel.depolarizing(5)
+    params = noise.params(kappa=1.0, delta=1.0 / 15.0)
     rng = shard_rng(11, "traj", 0)
     horizon = 2.0
-    cum = _label_thresholds(params)
+    cum = _label_thresholds(params, noise)
     total = recov = 0
     reps = 2000
     for _ in range(reps):
@@ -104,11 +105,12 @@ def test_trajectory_weighted_labels():
 
 def test_trajectory_degenerate():
     rng = shard_rng(0, "traj", 2)
-    params = PoissonParams(0.0, 0.0, 0)
-    times, labels = _draw_events(rng, params.gamma, 5.0, _label_thresholds(params))
+    noise = NoiseModel.bit_flip(2)
+    params = noise.params(0.0, 0.0)
+    times, labels = _draw_events(rng, params.gamma, 5.0, _label_thresholds(params, noise))
     assert times.size == 0 and labels.size == 0
-    params = PoissonParams(1.0, 1.0, 2)
-    times, _ = _draw_events(rng, params.gamma, 0.0, _label_thresholds(params))
+    params = noise.params(1.0, 1.0)
+    times, _ = _draw_events(rng, params.gamma, 0.0, _label_thresholds(params, noise))
     assert times.size == 0
 
 
@@ -135,8 +137,7 @@ def test_epsilon_basic_shape_and_growth():
     assert res.estimate[2] > res.estimate[0] > 0
     # estimate is the worst family at each time
     assert np.allclose(res.estimate, res.per_family.max(axis=0))
-    rows = list(res.rows())
-    assert rows[0]["t"] == 0.2 and rows[0]["n_samples"] == 4000
+    assert res.times[0] == 0.2 and res.n_samples == 4000
 
 
 def test_epsilon_deterministic_and_worker_invariant():
@@ -392,7 +393,7 @@ def _reference_walk(decoder, noise, ev_t, ev_l, readouts, commit):
     seen = set()
 
     def recover(f):
-        seen.add(syndrome_of(code, f).bits)
+        seen.add(syndrome_of(code, f))
         return apply_recovery(decoder, f)
 
     out = []
@@ -449,7 +450,7 @@ def test_phi_walk_decodes_once_per_distinct_syndrome():
     correction = dec.correction
 
     def counted(s):
-        calls.append(s.bits)
+        calls.append(s)
         return correction(s)
 
     dec.correction = counted
