@@ -39,11 +39,8 @@ from .lindblad import (
     binomial_codewords,
     build_lindbladian,
     build_recovery,
-    codespace_basis,
     epsilon_exact,
-    pauli_matrix,
     recovery_lindbladian,
-    stabilizer_recovery,
 )
 from .paulis import five_qubit_code, toric_code
 from .trajectories import (
@@ -53,6 +50,7 @@ from .trajectories import (
     estimate_alpha,
     estimate_epsilon,
     estimate_faithful_violation,
+    frame_chain_rates,
 )
 
 __all__ = [
@@ -274,6 +272,12 @@ class ResultManifest:
             raise ValueError(f"{path}: manifest lacks key(s) {', '.join(missing)}")
         if not isinstance(body["experiment"], str) or body["experiment"] not in EXPERIMENTS:
             raise ValueError(f"{path}: unknown experiment {body['experiment']!r}")
+        params = body["params"]
+        if not isinstance(params, dict):
+            raise ValueError(f"{path}: manifest params are not a JSON object")
+        missing = [k for k in EXPERIMENTS[body["experiment"]].schema if k not in params]
+        if missing:
+            raise ValueError(f"{path}: manifest params lack key(s) {', '.join(missing)}")
         return ResultManifest(**{k: body[k] for k in keys})
 
 
@@ -365,12 +369,9 @@ def _run_fig5a(p, seed, workers):
     code = five_qubit_code()
     decoder = build_lookup(code)
     noise = NoiseModel.depolarizing(code.n)
-    recovery = stabilizer_recovery(code, decoder)
-    jumps = [(pauli_matrix(e), delta * w) for e, w in zip(noise.jumps, noise.weights)]
-    lind = build_lindbladian(jumps) + recovery_lindbladian(recovery, kappa)
-    codewords = codespace_basis(code)
-    eps = epsilon_exact(lind, recovery, codewords, ts)
-    mc = estimate_epsilon(code, decoder, noise, noise.params(kappa, delta), ts,
+    params = noise.params(kappa, delta)
+    eps = frame_chain_rates(code, decoder, noise, params, ts).max(axis=0)
+    mc = estimate_epsilon(code, decoder, noise, params, ts,
                           p["mc_samples"], _derive_seed(seed, "fig5a", "mc"), workers)
     inputs = BoundInputs(ell=1, kappa=kappa, delta=delta, n_channels=noise.n_channels)
     tail = ("kappa", "delta", "n_channels")

@@ -21,11 +21,13 @@ order, so results are bit-identical for any worker count.
 from __future__ import annotations
 
 import hashlib
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from scipy.linalg import expm
 
 from .decoders import Decoder
 from .paulis import PauliOperator, StabilizerCode, anticommutation_bits
@@ -35,6 +37,7 @@ __all__ = [
     "NoiseModel",
     "shard_rng",
     "estimate_epsilon",
+    "frame_chain_rates",
     "estimate_alpha",
     "check_assumption2",
     "estimate_faithful_violation",
@@ -42,6 +45,7 @@ __all__ = [
 
 FRAME_SHARD = 4096       # samples per shard in frame-tracking estimators
 VIOLATION_SHARD = 65536  # samples per shard in the vectorized run-length sampler
+CHAIN_MAX_STATES = 4096  # largest phi space frame_chain_rates exponentiates
 
 _FAMILIES = ("Z", "X", "Y")  # initial-state families for the epsilon estimator
 
@@ -55,8 +59,11 @@ class PoissonParams:
     n_channels: int
 
     def __post_init__(self):
-        if self.kappa < 0 or self.delta < 0 or self.n_channels < 0:
+        if not (math.isfinite(self.kappa) and math.isfinite(self.delta)):
+            raise ValueError("rates must be finite")
+        if self.kappa < 0 or self.delta < 0:
             raise ValueError("rates must be nonnegative")
+        _require_count("n_channels", self.n_channels)
 
     @property
     def gamma(self) -> float:
@@ -116,6 +123,12 @@ class NoiseModel:
     @staticmethod
     def dephasing(n: int) -> "NoiseModel":
         return NoiseModel("dephasing", n, tuple(PauliOperator.single(n, q, "Z") for q in range(n)))
+
+
+def _require_count(name: str, v) -> None:
+    """Raise unless v is a nonnegative integer; integral floats such as 15.0 pass."""
+    if not (v >= 0 and float(v).is_integer()):  # a NaN fails the comparison
+        raise ValueError(f"{name} must be a nonnegative integer")
 
 
 def shard_rng(root_seed: int, tag: str, shard: int) -> np.random.Generator:
@@ -279,6 +292,17 @@ def _run_shards(fn, n_samples: int, shard_size: int, seed: int, tag: str,
         return sum(pool.map(fn, sizes, rngs))
 
 
+def _readout_times(times) -> np.ndarray:
+    """times as a float array; raises unless nonempty, finite, nondecreasing
+    and nonnegative."""
+    times = np.asarray(times, dtype=float)
+    # phrased so that a NaN fails the comparisons
+    if (len(times) == 0 or not np.all(np.diff(times) >= 0) or not times[0] >= 0
+            or not np.isfinite(times[-1])):
+        raise ValueError("times must be finite, nondecreasing and nonnegative")
+    return times
+
+
 def estimate_epsilon(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
                      params: PoissonParams, times, n_samples: int, seed: int,
                      workers: int = 1) -> MonteCarloEstimate:
@@ -291,10 +315,7 @@ def estimate_epsilon(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     minimization over initial states is approximated by that worst case, which
     is exact for effective logical Pauli channels.
     """
-    times = np.asarray(times, dtype=float)
-    # phrased so that a NaN fails the comparisons
-    if len(times) == 0 or not np.all(np.diff(times) >= 0) or not times[0] >= 0:
-        raise ValueError("times must be nondecreasing and nonnegative")
+    times = _readout_times(times)
     shard = partial(_epsilon_shard, code, decoder, noise, params, times.tolist())
     fails = _run_shards(shard, n_samples, FRAME_SHARD, seed, "epsilon", workers)
     rates = fails / n_samples
@@ -303,6 +324,46 @@ def estimate_epsilon(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     stderr = _binomial_stderr(est, n_samples)
     return MonteCarloEstimate(times=times, estimate=est, stderr=stderr,
                               n_samples=n_samples, seed=seed, per_family=rates)
+
+
+def frame_chain_rates(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
+                      params: PoissonParams, times) -> np.ndarray:
+    """Exact family failure rates, shape (3, len(times)): the expectation of
+    estimate_epsilon's per_family.
+
+    The frame walk's phi is a continuous-time Markov chain on the
+    2^(r + 2k) ints that _FrameEngine packs.  Jump mu XORs its phi at rate
+    delta * w_mu; a recovery XORs the correction's phi of the current
+    syndrome at rate kappa.  Row 0 of expm(Q t) is the law of phi at t, and
+    the readout is the walk's uncommitted final recovery.
+
+    For one logical qubit the max over the three rows is epsilon_exact's
+    1 - min over its 38 sampled states.  The recovered logical channel is a
+    Pauli channel, so 1 - F at Bloch vector n is linear in
+    (n_x^2, n_y^2, n_z^2), which ranges over a simplex; its maximum is at a
+    vertex, a cardinal state, and the sampled states hold all six.
+    """
+    times = _readout_times(times)
+    if noise.n_channels != params.n_channels:
+        raise ValueError("noise model and params disagree on channel count")
+    engine = _FrameEngine(code, decoder, noise)
+    r, k = engine.r, engine.k
+    size = 1 << (r + 2 * k)
+    if size > CHAIN_MAX_STATES:
+        raise ValueError(f"the frame chain of {code.name} has {size} states, "
+                         f"more than {CHAIN_MAX_STATES}")
+    phi, smask = np.arange(size), (1 << r) - 1
+    corr = np.array([engine._correction_phi(s) for s in range(smask + 1)])[phi & smask]
+    q = np.zeros((size, size))
+    for jp, w in zip(engine.jump_phi, noise.weights):
+        q[phi, phi ^ jp] += params.delta * w  # phi -> phi ^ jp is a permutation
+    q[phi, phi ^ corr] += params.kappa
+    q[phi, phi] -= q.sum(axis=1)  # a self-loop (zero phi) cancels here
+    res = phi ^ corr
+    tx, tz = (res >> r) & ((1 << k) - 1), res >> (r + k)
+    fails = np.array([tx != 0, tz != 0, (tx ^ tz) != 0], dtype=float)
+    law = np.array([expm(q * t)[0] for t in times])
+    return fails @ law.T
 
 
 def estimate_alpha(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
@@ -368,8 +429,7 @@ def check_assumption2(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     so the comparison noise is the variance of the per-sample difference.
     holds = lhs <= rhs + 3 sigma_diff.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    _require_count("m", m)
     if not t >= 0:
         raise ValueError(f"t must be nonnegative, got {t}")
     if n_samples <= 0:
@@ -440,8 +500,7 @@ def estimate_faithful_violation(ell: int, params: PoissonParams, times,
                                 n_samples: int, seed: int,
                                 workers: int = 1) -> MonteCarloEstimate:
     """p(t): fraction of trajectories containing a run of > ell consecutive errors."""
-    if ell < 0:
-        raise ValueError("ell must be nonnegative")
+    _require_count("ell", ell)
     times = np.asarray(times, dtype=float)
     if not np.all(times >= 0):  # a NaN would cut every trajectory at its first gap
         raise ValueError("times must be nonnegative")

@@ -138,6 +138,11 @@ _DESK_SHA256 = {
         "fig3_theorem2.csv": "e50de74bc438e217ee005b0a6424a7278dcc2ccd92d487020c724b4a8d591be4",
         "fig3_theorem4.csv": "29e4da044f97283c4935a30ad4751e7928ada60568a2322e78b6285e565bcf4c",
     },
+    "fig5a": {
+        "fig5a_exact.csv": "81c89dd64558626ab56202fc0dac42774d8eac3cb7c66585ff391a05f745ab85",
+        "fig5a_mc.csv": "f7cf7ba6965a8597bb3e30de90dee79328cd819f826cd1d1be32443f01e36574",
+        "fig5a_theorem4.csv": "1d606581cd705c7a4893b6b9ed367ee6e1ec438f3550df7a7fe2e550c2b51155",
+    },
     "fig5b": {
         "fig5b_theorem2_L4.csv": "cd5299376dabf736175cce629170e141bedc8d2a87f571e069b6b7d4531a7fd4",
         "fig5b_theorem2_L6.csv": "9e02a3502ee6b0089819e9c710775a9e83347336581d7da03574530ea59f4e7b",
@@ -379,7 +384,11 @@ _MANIFEST_BODY = {"experiment": "appH", "params": {}, "seed": 1, "workers": 1,
     (dict(_MANIFEST_BODY, experiment=["appH"]), "unknown experiment ['appH']"),
     ({k: v for k, v in _MANIFEST_BODY.items() if k != "params"}, "lacks key(s) params"),
     ([_MANIFEST_BODY], "not a JSON object"),
-], ids=["unknown_experiment", "list_experiment", "missing_params", "json_list"])
+    (dict(_MANIFEST_BODY, params=[]), "params are not a JSON object"),
+    (dict(_MANIFEST_BODY, experiment="figE7",
+          params={"n_values": [1000], "kd_values": [2.0]}), "params lack key(s) h_fraction"),
+], ids=["unknown_experiment", "list_experiment", "missing_params", "json_list",
+        "params_list", "figE7_missing_h_fraction"])
 def test_cli_verify_malformed_manifest_exits_1(tmp_path, capsys, body, named):
     path = _write(tmp_path / "manifest.json", json.dumps(body))
     assert cli.main(["verify", path]) == 1

@@ -7,6 +7,14 @@ from scipy.special import gammainc
 
 from aqec import trajectories
 from aqec.decoders import MajorityDecoder, MwpmDecoder, apply_recovery, build_lookup
+from aqec.lindblad import (
+    build_lindbladian,
+    codespace_basis,
+    epsilon_exact,
+    pauli_matrix,
+    recovery_lindbladian,
+    stabilizer_recovery,
+)
 from aqec.paulis import (
     PauliOperator,
     five_qubit_code,
@@ -26,6 +34,7 @@ from aqec.trajectories import (
     estimate_alpha,
     estimate_epsilon,
     estimate_faithful_violation,
+    frame_chain_rates,
     shard_rng,
 )
 
@@ -377,6 +386,86 @@ def test_estimators_reject_bad_times_before_sampling(monkeypatch):
         # a NaN used to stop every run-length trajectory after its first gap
         with pytest.raises(ValueError, match="times must be nonnegative"):
             estimate_faithful_violation(2, params, times + [2.0], 100, seed=1)
+
+
+@pytest.mark.parametrize("kappa,delta,n_channels", [
+    (1.0, math.nan, 1), (math.nan, 1.0, 1), (1.0, math.inf, 1), (math.inf, 1.0, 1),
+    (1.0, 1.0, 2.5), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf), (1.0, 1.0, -1),
+])
+def test_params_reject_nonfinite_rates_and_fractional_channels(kappa, delta, n_channels):
+    with pytest.raises(ValueError, match="finite|integer|nonnegative"):
+        PoissonParams(kappa, delta, n_channels)
+    assert PoissonParams(1.0, 0.1, 15.0).gamma == pytest.approx(2.5)
+
+
+def test_estimators_reject_fractional_ell_and_m():
+    code = five_qubit_code()
+    noise = NoiseModel.depolarizing(5)
+    params = noise.params(1.0, 1.0 / 15.0)
+    with pytest.raises(ValueError, match="ell must be a nonnegative integer"):
+        estimate_faithful_violation(2.5, params, [1.0], 100, seed=1)
+    with pytest.raises(ValueError, match="m must be a nonnegative integer"):
+        check_assumption2(code, build_lookup(code), noise, params, t=0.3, m=2.5,
+                          n_samples=100, seed=1)
+
+
+# -- the exact frame chain ----------------------------------------------------------
+
+
+def test_frame_chain_matches_lindblad_epsilon_exact():
+    # independent oracle: DOP853 on 38 stacked 32x32 density matrices
+    code = five_qubit_code()
+    dec = build_lookup(code)
+    noise = NoiseModel.depolarizing(5)
+    kappa, delta = 1.0, 1.0 / 15.0
+    ts = [0.05, 0.5, 2.0]
+    recovery = stabilizer_recovery(code, dec)
+    jumps = [(pauli_matrix(e), delta * w) for e, w in zip(noise.jumps, noise.weights)]
+    lind = build_lindbladian(jumps) + recovery_lindbladian(recovery, kappa)
+    want = epsilon_exact(lind, recovery, codespace_basis(code), ts)
+    got = frame_chain_rates(code, dec, noise, noise.params(kappa, delta), ts)
+    assert got.shape == (3, 3)
+    assert np.max(np.abs(got.max(axis=0) - want)) <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["five_lookup", "rep5_majority"])
+def test_frame_chain_matches_sampled_families(name):
+    decoder, noise, (kappa, delta) = _walk_setup(name)
+    params = noise.params(kappa, delta)
+    ts, n = [0.25, 1.0, 3.0], 20000
+    exact = frame_chain_rates(decoder.code, decoder, noise, params, ts)
+    mc = estimate_epsilon(decoder.code, decoder, noise, params, ts, n, seed=53)
+    sigma = np.sqrt(exact * (1 - exact) / n)
+    assert np.all(np.abs(mc.per_family - exact) <= 4 * sigma + 1e-12)
+    assert exact.min() >= 0 and exact.max() > 0.01
+
+
+def test_frame_chain_repetition_closed_form_at_kappa_0():
+    # each qubit is flipped with p = (1 - exp(-2 delta tau)) / 2, and the
+    # majority vote fails when at least two of the three flipped
+    code = repetition_code(3)
+    noise = NoiseModel.bit_flip(3)
+    delta = 1.0
+    taus = np.array([0.0, 0.1, 0.5, 2.0, 10.0])
+    rates = frame_chain_rates(code, MajorityDecoder(code), noise,
+                              noise.params(0.0, delta), taus)
+    p = (1 - np.exp(-2 * delta * taus)) / 2
+    assert np.max(np.abs(rates[0] - (3 * p**2 * (1 - p) + p**3))) <= 1e-14
+    assert np.all(rates[1] == 0)  # no Z-type logical under bit flips
+
+
+def test_frame_chain_domain():
+    code = toric_code(4)
+    noise = NoiseModel.depolarizing(code.n)
+    with pytest.raises(ValueError, match=f"{2 ** 34} states"):
+        frame_chain_rates(code, MwpmDecoder(code), noise, noise.params(1.0, 0.01), [1.0])
+    code = five_qubit_code()
+    dec = build_lookup(code)
+    noise = NoiseModel.depolarizing(5)
+    params = noise.params(1.0, 1.0 / 15.0)
+    for times in ([math.nan], [1.0, math.inf], [math.inf], [-0.5, 1.0], [1.0, 0.5], []):
+        with pytest.raises(ValueError, match="times must be"):
+            frame_chain_rates(code, dec, noise, params, times)
 
 
 # -- the phi walk against Pauli products ------------------------------------------
