@@ -7,11 +7,14 @@ always (Pauli frame) x (codeword), so trajectories are simulated on the
 frame's syndrome and logical parity, and recoveries reduce to syndrome
 decoding.
 
-Every frame estimator draws each sample with one event draw (a Poisson count,
-then uniform times, then uniform labels; see _draw_events) and walks it with
-one frame walk that reads the logical class out at given times.  The walk
-carries the frame only as phi = (syndrome, logical parity), one int that each
-error event XORs, and decodes once per distinct syndrome per shard.
+Every frame estimator draws a shard's samples in blocks of rows (_draw_block:
+per row a Poisson count, then uniform times and uniform labels, padded into
+one array per block; at most FRAME_BLOCK rows and about BLOCK_EVENTS events)
+and walks each block with one frame walk (_FrameEngine.walk_block) that steps
+through the event columns of all rows at once and reads the logical class out
+at given times.  The walk carries each frame only as phi = (syndrome, logical
+parity), one int that each error event XORs, and decodes once per distinct
+syndrome per shard.
 
 Determinism contract: every estimator draws from per-shard streams keyed by
 (root seed, estimator tag, shard index) and merges shard statistics in shard
@@ -44,6 +47,8 @@ __all__ = [
 ]
 
 FRAME_SHARD = 4096       # samples per shard in frame-tracking estimators
+FRAME_BLOCK = 1024       # most rows drawn and walked at once
+BLOCK_EVENTS = 8192      # expected events per block; bounds the padded arrays
 VIOLATION_SHARD = 65536  # samples per shard in the vectorized run-length sampler
 CHAIN_MAX_STATES = 4096  # largest phi space frame_chain_rates exponentiates
 
@@ -150,18 +155,41 @@ def _label_thresholds(params: PoissonParams, noise: NoiseModel) -> np.ndarray:
     return cum
 
 
-def _draw_events(rng: np.random.Generator, gamma: float, horizon: float, cum) -> tuple:
-    """(times, labels) of one trajectory on [0, horizon], drawn in a fixed order.
+def _draw_block(rng: np.random.Generator, rows: int, gamma: float, horizon: float,
+                cum) -> tuple:
+    """(times, labels) of rows trajectories on [0, horizon], each (rows, width).
 
-    A Poisson(gamma*horizon) count, then uniform times, then uniform labels
-    mapped through the thresholds cum; nothing is drawn when gamma or the
-    horizon is 0.
+    Row by row, in a fixed order: a Poisson(gamma*horizon) count k, then 2k
+    uniforms, the first k of them times (sorted, then scaled by the horizon)
+    and the last k labels mapped through the thresholds cum.  Past its count
+    a row holds time inf and label len(cum), which names no event.  Nothing
+    is drawn when gamma or the horizon is 0.
     """
     if gamma == 0 or horizon == 0:
-        return np.empty(0), np.empty(0, dtype=np.int64)
-    k = int(rng.poisson(gamma * horizon))
-    times = np.sort(rng.random(k)) * horizon
-    return times, np.searchsorted(cum, rng.random(k), side="right")
+        return np.empty((rows, 0)), np.empty((rows, 0), dtype=np.int64)
+    lam = gamma * horizon
+    draws = [rng.random(2 * rng.poisson(lam)) for _ in range(rows)]
+    counts = np.array([d.size for d in draws]) // 2
+    flat = np.concatenate(draws)
+    del draws  # freed before the padded arrays are built
+    width = counts.max()
+    col = np.arange(2 * width)
+    # row by row, flat holds k times and then k label uniforms
+    is_time = (col < counts[:, None])[col < 2 * counts[:, None]]
+    filled = col[:width] < counts[:, None]
+    times = np.full(filled.shape, np.inf)
+    times[filled] = flat[is_time]
+    times.sort(axis=1)
+    times *= horizon
+    labels = np.full(filled.shape, len(cum))
+    labels[filled] = np.searchsorted(cum, flat[~is_time], side="right")
+    return times, labels
+
+
+def _block_rows(gamma: float, horizon: float) -> int:
+    """Rows per block: FRAME_BLOCK, or fewer (down to 1) when the block's
+    expected event count would pass BLOCK_EVENTS."""
+    return max(1, min(FRAME_BLOCK, int(BLOCK_EVENTS // max(gamma * horizon, 1.0))))
 
 
 # -- frame Monte Carlo core ---------------------------------------------------
@@ -174,7 +202,9 @@ class _FrameEngine:
     phi = (syndrome, logical parity), which is linear in the frame.  phi
     packs into one int: the low r = n - k bits are the syndrome in generator
     order; above them, k bits mark anticommutation with logical_z[i] (an X
-    flip), then k bits with logical_x[i] (a Z flip).
+    flip), then k bits with logical_x[i] (a Z flip).  Arrays of phi are
+    int64 up to 62 bits and Python ints (dtype object) beyond; toric L = 6
+    has 74.
     """
 
     def __init__(self, code: StabilizerCode, decoder: Decoder, noise: NoiseModel):
@@ -186,6 +216,9 @@ class _FrameEngine:
         self.logicals = code.logical_z + code.logical_x
         checks = code.generators + self.logicals
         self.jump_phi = [anticommutation_bits(checks, e) for e in noise.jumps]
+        self.dtype = np.int64 if self.r + 2 * self.k < 63 else object
+        # indexed by event label: 0 (a recovery) and the padding label XOR nothing
+        self._label_phi = np.array([0, *self.jump_phi, 0], dtype=self.dtype)
         self._memo = {}  # syndrome -> phi of its correction; one per shard
 
     def _correction_phi(self, s: int) -> int:
@@ -198,40 +231,61 @@ class _FrameEngine:
         phi = self._memo[s] = s | anticommutation_bits(self.logicals, c) << self.r
         return phi
 
-    def walk(self, ev_t, ev_l, readouts, commit: bool) -> list:
-        """Logical class (x, z) at each readout time of one event draw.
+    def _recover(self, phi: np.ndarray) -> np.ndarray:
+        """phi after one recovery: each entry XORs its syndrome's correction phi.
+
+        Each distinct syndrome is looked up once, and decoded only if no
+        earlier walk of this engine decoded it.
+        """
+        syndromes, inverse = np.unique(phi & ((1 << self.r) - 1), return_inverse=True)
+        memo, miss = self._memo, self._correction_phi
+        corr = [memo[s] if s in memo else miss(s) for s in syndromes.tolist()]
+        return phi ^ np.array(corr, dtype=self.dtype)[inverse.reshape(phi.shape)]
+
+    def walk_block(self, ev_t: np.ndarray, ev_l: np.ndarray, readouts,
+                   commit: bool) -> tuple:
+        """Logical classes (x, z) of a block of event draws, each an int64
+        array of shape (rows, len(readouts)).
 
         An error event XORs the jump's phi into the frame's.  A recovery
         multiplies the frame by the correction of its syndrome, i.e. XORs the
         correction's phi; the syndrome bits clear and the logical bits keep
         the residual's class, which is coset-invariant (coset linearity).  A
         readout reads the class of the frame after one more recovery, and with
-        commit=True that recovery is applied.  Events at a readout time happen
-        before the readout.
+        commit=True that recovery is applied, in readout order.  Events at a
+        readout time happen before the readout.
+
+        The walk steps through the event columns, all rows at once, and keeps
+        phi after every column; a readout takes it at the row's count of
+        events up to the readout time.  A committed readout is a recovery
+        event, placed in each row after the events it reads.
         """
-        jump_phi, memo, miss = self.jump_phi, self._memo, self._correction_phi
-        r, smask, kmask = self.r, (1 << self.r) - 1, (1 << self.k) - 1
-        ev_t, ev_l = ev_t.tolist(), ev_l.tolist()
-        n_ev = len(ev_t)
-        phi = ev = 0
-        out = []
-        for t_read in readouts:
-            while ev < n_ev and ev_t[ev] <= t_read:
-                lab = ev_l[ev]
-                ev += 1
-                if lab:
-                    phi ^= jump_phi[lab - 1]
-                    continue
-                s = phi & smask
-                c = memo.get(s)
-                phi ^= miss(s) if c is None else c
-            s = phi & smask
-            c = memo.get(s)
-            res = phi ^ (miss(s) if c is None else c)
-            out.append(((res >> r) & kmask, res >> (r + self.k)))
-            if commit:
-                phi = res
-        return out
+        rows, width = ev_l.shape
+        n_read = len(readouts)
+        row = np.arange(rows)[:, None]
+        # readouts before each event: events at a readout time come first
+        before = np.searchsorted(readouts, ev_t, side="left")
+        # events up to each readout time; padding falls in the last bin
+        per_gap = np.bincount((row * (n_read + 1) + before).ravel(),
+                              minlength=rows * (n_read + 1))
+        at = np.cumsum(per_gap.reshape(rows, n_read + 1), axis=1)[:, :n_read]
+        labels = ev_l
+        if commit:
+            at = at + np.arange(n_read)
+            labels = np.empty((rows, width + n_read), dtype=ev_l.dtype)
+            labels[row, np.arange(width) + before] = ev_l
+            labels[row, at] = 0
+        phi = np.zeros((labels.shape[1] + 1, rows), dtype=self.dtype)  # after each column
+        for c, lab in enumerate(labels.T):
+            col = phi[c] ^ self._label_phi[lab]
+            rec = np.flatnonzero(lab == 0)
+            if rec.size:
+                col[rec] = self._recover(col[rec])
+            phi[c + 1] = col
+        res = self._recover(phi[at, row])
+        r, k = self.r, self.k
+        return (((res >> r) & ((1 << k) - 1)).astype(np.int64),
+                (res >> (r + k)).astype(np.int64))
 
 
 def _epsilon_shard(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
@@ -240,17 +294,15 @@ def _epsilon_shard(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     """Failure counts, shape (3 families, len(times)); readouts do not recover."""
     engine = _FrameEngine(code, decoder, noise)  # one memo per shard bounds its size
     cum = _label_thresholds(params, noise)
-    fails = [[0] * len(times) for _ in range(3)]
-    for _ in range(n_samples):
-        ev_t, ev_l = _draw_events(rng, params.gamma, times[-1], cum)
-        for j, (tx, tz) in enumerate(engine.walk(ev_t, ev_l, times, False)):
-            if tx:
-                fails[0][j] += 1          # Z-basis states flipped by any X-type logical
-            if tz:
-                fails[1][j] += 1          # X-basis states flipped by any Z-type logical
-            if tx ^ tz:
-                fails[2][j] += 1          # Y-basis flips: exactly one type per logical
-    return np.array(fails, dtype=np.int64)
+    fails = np.zeros((3, len(times)), dtype=np.int64)
+    # draws are sequential, so splitting a shard into blocks changes no output
+    for rows in _chunks(n_samples, _block_rows(params.gamma, times[-1])):
+        ev_t, ev_l = _draw_block(rng, rows, params.gamma, times[-1], cum)
+        tx, tz = engine.walk_block(ev_t, ev_l, times, False)
+        fails[0] += np.count_nonzero(tx, axis=0)       # Z-basis states flipped by any X logical
+        fails[1] += np.count_nonzero(tz, axis=0)       # X-basis states flipped by any Z logical
+        fails[2] += np.count_nonzero(tx ^ tz, axis=0)  # Y-basis: exactly one type per logical
+    return fails
 
 
 @dataclass
@@ -277,14 +329,26 @@ def _binomial_stderr(est, n_samples: int) -> np.ndarray:
     return np.sqrt(p * (1 - p) / n_samples)
 
 
+def _sample_count(n_samples) -> int:
+    """n_samples as an int; raises unless it is a positive integer (integral
+    floats such as 10.0 pass)."""
+    if not n_samples > 0:  # a NaN fails the comparison
+        raise ValueError("n_samples must be positive")
+    _require_count("n_samples", n_samples)
+    return int(n_samples)
+
+
+def _chunks(n: int, size: int) -> list:
+    """Sizes of n split into consecutive chunks of size, the last one shorter."""
+    full, rem = divmod(n, size)
+    return [size] * full + ([rem] if rem else [])
+
+
 def _run_shards(fn, n_samples: int, shard_size: int, seed: int, tag: str,
                 workers: int):
     """Sum of fn(n, shard_rng(seed, tag, i)) over shards, merged in shard order;
     fn is a partial of a module-level function, so it pickles for the pool."""
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
-    full, rem = divmod(n_samples, shard_size)
-    sizes = [shard_size] * full + ([rem] if rem else [])
+    sizes = _chunks(n_samples, shard_size)
     rngs = [shard_rng(seed, tag, i) for i in range(len(sizes))]
     if workers <= 1 or len(sizes) <= 1:
         return sum(fn(n, rng) for n, rng in zip(sizes, rngs))
@@ -316,6 +380,7 @@ def estimate_epsilon(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     is exact for effective logical Pauli channels.
     """
     times = _readout_times(times)
+    n_samples = _sample_count(n_samples)
     shard = partial(_epsilon_shard, code, decoder, noise, params, times.tolist())
     fails = _run_shards(shard, n_samples, FRAME_SHARD, seed, "epsilon", workers)
     rates = fails / n_samples
@@ -377,8 +442,9 @@ def estimate_alpha(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     the joint Z-basis codeword; single-logical marginals are available from
     ``per_family`` of estimate_epsilon if needed.
     """
-    if not tau >= 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    if not 0 <= tau < math.inf:  # a NaN fails the comparison
+        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
+    n_samples = _sample_count(n_samples)
     params = PoissonParams(kappa=0.0, delta=delta, n_channels=noise.n_channels)
     shard = partial(_epsilon_shard, code, decoder, noise, params, [float(tau)])
     fails = _run_shards(shard, n_samples, FRAME_SHARD, seed, "alpha", workers)
@@ -408,15 +474,15 @@ def _assumption2_shard(code: StabilizerCode, decoder: Decoder, noise: NoiseModel
     edges = [j * t for j in range(1, m + 1)]
     cum = _label_thresholds(params, noise)
     surv_l = surv_r = both = 0  # both: joint survivals, for the paired variance
-    for _ in range(n_samples):
-        ev_t, ev_l = _draw_events(rng, params.gamma, edges[-1], cum)
+    for rows in _chunks(n_samples, _block_rows(params.gamma, edges[-1])):
+        ev_t, ev_l = _draw_block(rng, rows, params.gamma, edges[-1], cum)
         # one shared noise realization processed two ways: a single final
         # recovery at m*t (lhs), or a forced recovery at every j*t (rhs)
-        sl = engine.walk(ev_t, ev_l, edges[-1:], False)[0][0] == 0
-        sr = engine.walk(ev_t, ev_l, edges, True)[-1][0] == 0
-        surv_l += sl
-        surv_r += sr
-        both += sl and sr
+        sl = engine.walk_block(ev_t, ev_l, edges[-1:], False)[0][:, 0] == 0
+        sr = engine.walk_block(ev_t, ev_l, edges, True)[0][:, -1] == 0
+        surv_l += np.count_nonzero(sl)
+        surv_r += np.count_nonzero(sr)
+        both += np.count_nonzero(sl & sr)
     return np.array([surv_l, surv_r, both], dtype=np.int64)
 
 
@@ -430,10 +496,9 @@ def check_assumption2(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     holds = lhs <= rhs + 3 sigma_diff.
     """
     _require_count("m", m)
-    if not t >= 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
+    if not 0 <= t < math.inf:  # a NaN fails the comparison
+        raise ValueError(f"t must be finite and nonnegative, got {t}")
+    n_samples = _sample_count(n_samples)
     if m == 0:
         return Assumption2Result(1.0, 1.0, 0.0, True, n_samples)
     shard = partial(_assumption2_shard, code, decoder, noise, params, t, m)
@@ -502,8 +567,11 @@ def estimate_faithful_violation(ell: int, params: PoissonParams, times,
     """p(t): fraction of trajectories containing a run of > ell consecutive errors."""
     _require_count("ell", ell)
     times = np.asarray(times, dtype=float)
-    if not np.all(times >= 0):  # a NaN would cut every trajectory at its first gap
-        raise ValueError("times must be nonnegative")
+    # a NaN would cut every trajectory at its first gap, and an infinite
+    # horizon would never end the gap loop
+    if not np.all((times >= 0) & (times < math.inf)):
+        raise ValueError("times must be finite and nonnegative")
+    n_samples = _sample_count(n_samples)
     horizon = float(times.max()) if len(times) else 0.0
     shard = partial(_violation_shard, ell, params, horizon, times)
     counts = _run_shards(shard, n_samples, VIOLATION_SHARD, seed, "violation", workers)

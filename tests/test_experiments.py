@@ -124,7 +124,8 @@ def test_run_writes_manifest_and_verify_passes(tmp_path):
 # sha256 of every CSV the desk defaults write, recorded before the Pauli and
 # decoder layer was consolidated; a pure refactor keeps all of them.  fig6 is
 # left out: its digits come from an adaptive ODE solve and can move with the
-# scipy or BLAS build.  fig4a, fig4b and fig5a take seconds each.
+# scipy or BLAS build.  fig4b is left out for time: its desk run takes about
+# 45 s, against about 6 s for fig4a, the slowest one pinned.
 _DESK_SHA256 = {
     "fig2": {
         "fig2_minima.csv": "c9ba23ad4a9f1e1fc2272b0d81d5598c233c0b564a16a1e9eb60b5ae0de9ac8a",
@@ -137,6 +138,10 @@ _DESK_SHA256 = {
         "fig3_mc.csv": "23dfa262b15311ab43db0cd583ab2766d6be485693d7ddee79d78e0b9d7ea546",
         "fig3_theorem2.csv": "e50de74bc438e217ee005b0a6424a7278dcc2ccd92d487020c724b4a8d591be4",
         "fig3_theorem4.csv": "29e4da044f97283c4935a30ad4751e7928ada60568a2322e78b6285e565bcf4c",
+    },
+    "fig4a": {
+        "fig4a_L3.csv": "20b93a147d25520c8472e25382b99cc4c4e7d22692c4949dbec2348080ce1df8",
+        "fig4a_L4.csv": "ca028c694475206d0bf0ca3fce87f6e91fa5a54f190748bba4ed5c9296433796",
     },
     "fig5a": {
         "fig5a_exact.csv": "81c89dd64558626ab56202fc0dac42774d8eac3cb7c66585ff391a05f745ab85",

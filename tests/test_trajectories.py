@@ -24,10 +24,13 @@ from aqec.paulis import (
     toric_code,
 )
 from aqec.trajectories import (
+    BLOCK_EVENTS,
+    FRAME_BLOCK,
     FRAME_SHARD,
     NoiseModel,
     PoissonParams,
-    _draw_events,
+    _block_rows,
+    _draw_block,
     _FrameEngine,
     _label_thresholds,
     check_assumption2,
@@ -81,15 +84,16 @@ def test_trajectory_moments_and_labels():
     rng = shard_rng(11, "traj", 0)
     horizon = 2.0
     cum = _label_thresholds(params, noise)
-    total = recov = 0
     reps = 2000
-    for _ in range(reps):
-        times, labels = _draw_events(rng, params.gamma, horizon, cum)
-        assert np.all(np.diff(times) >= 0)
-        assert times.size == 0 or (times[0] >= 0 and times[-1] <= horizon)
-        assert np.all((labels >= 0) & (labels <= 15))
-        total += labels.size
-        recov += int((labels == 0).sum())
+    times, labels = _draw_block(rng, reps, params.gamma, horizon, cum)
+    assert times.shape == labels.shape and times.shape[0] == reps
+    assert np.array_equal(np.sort(times, axis=1), times)
+    drawn = np.isfinite(times)
+    assert np.all((times[drawn] >= 0) & (times[drawn] <= horizon))
+    assert np.all((labels[drawn] >= 0) & (labels[drawn] <= 15))
+    assert np.all(labels[~drawn] == 16)  # padding names no event
+    total = int(drawn.sum())
+    recov = int((labels == 0).sum())
     mean = params.gamma * horizon * reps
     assert abs(total - mean) < 3 * np.sqrt(mean)
     frac = recov / total
@@ -102,11 +106,8 @@ def test_trajectory_weighted_labels():
     params = noise.params(kappa=0.0, delta=0.5)
     rng = shard_rng(3, "traj", 1)
     cum = _label_thresholds(params, noise)
-    counts = np.zeros(3)
-    for _ in range(500):
-        _, labels = _draw_events(rng, params.gamma, 4.0, cum)
-        for lab in labels:
-            counts[lab] += 1
+    _, labels = _draw_block(rng, 500, params.gamma, 4.0, cum)
+    counts = np.bincount(labels.ravel(), minlength=4)[:3]
     assert counts[0] == 0
     n = counts.sum()
     assert abs(counts[1] / n - 0.75) < 3 * np.sqrt(0.75 * 0.25 / n)
@@ -116,11 +117,84 @@ def test_trajectory_degenerate():
     rng = shard_rng(0, "traj", 2)
     noise = NoiseModel.bit_flip(2)
     params = noise.params(0.0, 0.0)
-    times, labels = _draw_events(rng, params.gamma, 5.0, _label_thresholds(params, noise))
-    assert times.size == 0 and labels.size == 0
+    times, labels = _draw_block(rng, 3, params.gamma, 5.0, _label_thresholds(params, noise))
+    assert times.shape == labels.shape == (3, 0)
     params = noise.params(1.0, 1.0)
-    times, _ = _draw_events(rng, params.gamma, 0.0, _label_thresholds(params, noise))
-    assert times.size == 0
+    times, _ = _draw_block(rng, 3, params.gamma, 0.0, _label_thresholds(params, noise))
+    assert times.shape == (3, 0)
+
+
+def _reference_draws(rng, n, gamma, horizon, cum):
+    """n trajectories drawn one by one: a Poisson count k, k uniform times
+    (sorted, scaled), then k uniform labels through the thresholds."""
+    out = []
+    for _ in range(n):
+        if gamma == 0 or horizon == 0:
+            out.append((np.empty(0), np.empty(0, dtype=np.int64)))
+            continue
+        k = int(rng.poisson(gamma * horizon))
+        times = np.sort(rng.random(k)) * horizon
+        out.append((times, np.searchsorted(cum, rng.random(k), side="right")))
+    return out
+
+
+@pytest.mark.parametrize("kappa,delta,horizon", [
+    (1.0, 0.2, 1.5),   # gamma H = 3: the inversion Poisson sampler, zero-event rows
+    (2.0, 0.5, 4.0),   # gamma H = 20: the rejection sampler
+    (0.0, 0.0, 2.0),   # gamma = 0
+    (1.0, 0.2, 0.0),   # H = 0
+])
+def test_draw_block_matches_sequential_draws(kappa, delta, horizon):
+    noise = NoiseModel.depolarizing(2)
+    params = noise.params(kappa, delta)
+    cum = _label_thresholds(params, noise)
+    want = _reference_draws(shard_rng(71, "draw", 0), 300, params.gamma, horizon, cum)
+    rng = shard_rng(71, "draw", 0)
+    # two blocks from one stream: splitting a shard into blocks changes no draw
+    got = [_draw_block(rng, rows, params.gamma, horizon, cum) for rows in (200, 100)]
+    rows = [(t, lab) for times, labels in got for t, lab in zip(times, labels)]
+    assert len(rows) == len(want)
+    for (times, labels), (ref_t, ref_l) in zip(rows, want):
+        k = ref_t.size
+        assert np.array_equal(times[:k], ref_t) and np.all(times[k:] == np.inf)
+        assert np.array_equal(labels[:k], ref_l)
+        assert np.all(labels[k:] == noise.n_channels + 1)  # padding names no event
+    widths = [times.shape[1] for times, _ in got]
+    counts = [t.size for t, _ in want]
+    assert widths == [max(counts[:200]), max(counts[200:])]
+    if params.gamma * horizon == 0:
+        assert widths == [0, 0]
+        # nothing was drawn, so the stream is where it started
+        assert rng.random() == shard_rng(71, "draw", 0).random()
+    elif params.gamma * horizon < 10:
+        assert 0 in counts
+    else:
+        assert min(counts) >= 1
+
+
+def test_long_horizons_draw_smaller_blocks(monkeypatch):
+    # the padded arrays grow with gamma * horizon, so blocks shrink to keep
+    # their expected event count near BLOCK_EVENTS
+    assert _block_rows(0.0, 5.0) == FRAME_BLOCK
+    assert _block_rows(1.0, BLOCK_EVENTS / FRAME_BLOCK) == FRAME_BLOCK
+    assert _block_rows(2.0, 10.0) == BLOCK_EVENTS // 20
+    assert _block_rows(1.0, 1e7) == 1
+    # and no estimate depends on the block size
+    code = five_qubit_code()
+    dec = build_lookup(code)
+    noise = NoiseModel.depolarizing(5)
+    params = noise.params(1.0, 0.1)
+    kw = dict(n_samples=1500, seed=73)
+
+    def run():
+        return (estimate_epsilon(code, dec, noise, params, [0.5, 2.0], **kw).per_family,
+                check_assumption2(code, dec, noise, params, t=0.4, m=3, **kw).rhs)
+
+    default = run()
+    monkeypatch.setattr(trajectories, "BLOCK_EVENTS", 40)
+    assert _block_rows(params.gamma, 2.0) == 8  # gamma H = 5
+    small = run()
+    assert np.array_equal(default[0], small[0]) and default[1] == small[1]
 
 
 def test_epsilon_no_noise_is_zero():
@@ -307,6 +381,22 @@ def test_assumption2_pinned_counts():
     assert r.holds
 
 
+def test_wide_phi_pinned_counts():
+    # toric L = 6 packs phi into 70 + 4 bits, past int64: the walk runs on
+    # Python ints.  Bit flips at small tau keep the matcher on its DP.
+    code = toric_code(6)
+    noise = NoiseModel.bit_flip(code.n)
+    assert _FrameEngine(code, MwpmDecoder(code), noise).dtype is object
+    n = 2000
+    res = estimate_alpha(code, MwpmDecoder(code), noise, 0.1, n, seed=61)
+    assert round(res.estimate[0] * n) == 405
+    n = 1500
+    r = check_assumption2(code, MwpmDecoder(code), noise, noise.params(2.0, 0.3),
+                          t=0.1, m=4, n_samples=n, seed=67)
+    assert (round(r.lhs * n), round(r.rhs * n)) == (1143, 1464)
+    assert r.sigma == pytest.approx(0.011041457230718131, rel=1e-12)
+
+
 def test_assumption2_worker_invariant():
     code = five_qubit_code()
     noise = NoiseModel.depolarizing(5)
@@ -323,9 +413,9 @@ def test_zero_rates_draw_nothing_and_do_not_warn():
     params = noise.params(0.0, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        times, labels = _draw_events(shard_rng(0, "traj", 3), params.gamma, 2.0,
-                                     _label_thresholds(params, noise))
-        assert times.size == 0 and labels.size == 0
+        times, labels = _draw_block(shard_rng(0, "traj", 3), 4, params.gamma, 2.0,
+                                    _label_thresholds(params, noise))
+        assert times.shape == labels.shape == (4, 0)
         res = estimate_epsilon(code, dec, noise, params, [0.5, 1.0], 100, seed=1)
         assert np.all(res.estimate == 0.0)
         r = check_assumption2(code, dec, noise, params, t=0.5, m=3, n_samples=100, seed=1)
@@ -374,18 +464,45 @@ def test_estimators_reject_bad_times_before_sampling(monkeypatch):
     dec = build_lookup(code)
     noise = NoiseModel.depolarizing(5)
     params = noise.params(1.0, 1.0 / 15.0)
-    for tau in (-0.5, math.nan):
-        with pytest.raises(ValueError, match="tau must be nonnegative"):
+    # an infinite tau or t used to leak numpy's "lam value too large"
+    for tau in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tau must be finite and nonnegative"):
             estimate_alpha(code, dec, noise, tau, 100, seed=1)
-    for t, m in ((-0.3, 0), (-0.3, 2), (math.nan, 2)):
-        with pytest.raises(ValueError, match="t must be nonnegative"):
+    for t, m in ((-0.3, 0), (-0.3, 2), (math.nan, 2), (math.inf, 2)):
+        with pytest.raises(ValueError, match="t must be finite and nonnegative"):
             check_assumption2(code, dec, noise, params, t=t, m=m, n_samples=100, seed=1)
     for times in ([math.nan], [0.5, math.nan], [math.nan, 0.5]):
         with pytest.raises(ValueError, match="times must be"):
             estimate_epsilon(code, dec, noise, params, times, 100, seed=1)
         # a NaN used to stop every run-length trajectory after its first gap
-        with pytest.raises(ValueError, match="times must be nonnegative"):
+        with pytest.raises(ValueError, match="times must be finite and nonnegative"):
             estimate_faithful_violation(2, params, times + [2.0], 100, seed=1)
+    # an infinite time never ended the run-length sampler's gap loop
+    for times in ([math.inf], [1.0, math.inf]):
+        with pytest.raises(ValueError, match="times must be finite and nonnegative"):
+            estimate_faithful_violation(6, noise.params(1.0, 1e-3), times, 100, seed=1)
+
+
+def test_estimators_take_integral_sample_counts():
+    # fractional counts raise; integral floats run as their int
+    code = five_qubit_code()
+    dec = build_lookup(code)
+    noise = NoiseModel.depolarizing(5)
+    params = noise.params(1.0, 1.0 / 15.0)
+    calls = [
+        lambda n: estimate_epsilon(code, dec, noise, params, [0.5], n, seed=1),
+        lambda n: estimate_alpha(code, dec, noise, 0.5, n, seed=1),
+        lambda n: check_assumption2(code, dec, noise, params, t=0.3, m=2, n_samples=n, seed=1),
+        lambda n: check_assumption2(code, dec, noise, params, t=0.3, m=0, n_samples=n, seed=1),
+        lambda n: estimate_faithful_violation(2, params, [0.5], n, seed=1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="n_samples must be a nonnegative integer"):
+            call(2.5)
+        a, b = call(10.0), call(10)
+        assert a.n_samples == 10 and type(a.n_samples) is int
+        for field in ("estimate", "per_family", "lhs", "rhs", "sigma"):
+            assert np.array_equal(getattr(a, field, None), getattr(b, field, None))
 
 
 @pytest.mark.parametrize("kappa,delta,n_channels", [
@@ -511,6 +628,11 @@ def _walk_setup(name):
     return MwpmDecoder(code), NoiseModel.depolarizing(code.n), (2.0, 0.05)
 
 
+def _rows_of(ev_t, ev_l):
+    """The (times, labels) of each row of a drawn block, padding dropped."""
+    return [(t[np.isfinite(t)], lab[np.isfinite(t)]) for t, lab in zip(ev_t, ev_l)]
+
+
 @pytest.mark.parametrize("commit", [False, True])
 @pytest.mark.parametrize("name", ["five_lookup", "rep5_majority", "toric3_mwpm"])
 def test_phi_walk_matches_pauli_reference(name, commit):
@@ -520,15 +642,21 @@ def test_phi_walk_matches_pauli_reference(name, commit):
     rng = shard_rng(53, name, int(commit))
     cum = _label_thresholds(params, noise)
     readouts = [0.3, 0.7, 1.0, 1.0, 1.6]
+    ev_t, ev_l = _draw_block(rng, 150, params.gamma, readouts[-1], cum)
+    tx, tz = engine.walk_block(ev_t, ev_l, readouts, commit)
+    assert tx.shape == tz.shape == (150, len(readouts))
     classes = set()
-    for _ in range(150):
-        ev_t, ev_l = _draw_events(rng, params.gamma, readouts[-1], cum)
-        want, _ = _reference_walk(dec, noise, ev_t, ev_l, readouts, commit)
-        assert engine.walk(ev_t, ev_l, readouts, commit) == want
+    for i, (t, lab) in enumerate(_rows_of(ev_t, ev_l)):
+        want, _ = _reference_walk(dec, noise, t, lab, readouts, commit)
+        assert list(zip(tx[i].tolist(), tz[i].tolist())) == want
         classes.update(want)
     assert len(classes) > 1  # some draws end in a logical flip
+    counts = [t.size for t, _ in _rows_of(ev_t, ev_l)]
+    assert min(counts) < max(counts)  # rows end in padding at different columns
     if name == "toric3_mwpm":
         assert any(x and z for x, z in classes)  # both sectors, and Y
+    else:
+        assert 0 in counts  # and some rows draw no event
 
 
 def test_phi_walk_decodes_once_per_distinct_syndrome():
@@ -543,15 +671,17 @@ def test_phi_walk_decodes_once_per_distinct_syndrome():
         return correction(s)
 
     dec.correction = counted
-    engine = _FrameEngine(dec.code, dec, noise)
+    engine = _FrameEngine(dec.code, dec, noise)  # one engine, as in one shard
     rng = shard_rng(59, "count", 0)
     cum = _label_thresholds(params, noise)
     readouts = [0.5, 1.0, 1.5]
     seen = set()
-    for _ in range(200):
-        ev_t, ev_l = _draw_events(rng, params.gamma, readouts[-1], cum)
-        engine.walk(ev_t, ev_l, readouts, True)
-        seen |= _reference_walk(ref_dec, noise, ev_t, ev_l, readouts, True)[1]
+    # two blocks and both readout modes share the memo
+    for rows, commit in ((120, True), (80, False)):
+        ev_t, ev_l = _draw_block(rng, rows, params.gamma, readouts[-1], cum)
+        engine.walk_block(ev_t, ev_l, readouts, commit)
+        for t, lab in _rows_of(ev_t, ev_l):
+            seen |= _reference_walk(ref_dec, noise, t, lab, readouts, commit)[1]
     assert len(calls) == len(set(calls))
     assert set(calls) == seen
     assert len(seen) > 10
