@@ -255,9 +255,6 @@ class MwpmDecoder(Decoder):
         bwd = (a - b) % L
         return (fwd, +1) if fwd <= bwd else (bwd, -1)
 
-    def _tdist(self, s1: int, s2: int) -> int:
-        return self._dist[s1][s2]
-
     def _path(self, s1: int, s2: int, vert, horiz, shift: int) -> int:
         """Edge mask of the canonical path between sites: vertical leg, then horizontal.
 

@@ -2,8 +2,9 @@
 
 Each experiment id maps to a runner that writes one CSV per curve plus a JSON
 manifest recording resolved parameters, the root seed, the toolkit version,
-and a sha256 checksum per output file.  Runs are deterministic: rerunning a
-config reproduces every CSV byte for byte, for any worker count.
+and a sha256 checksum of the parameters and of each output file.  Runs are
+deterministic: rerunning a config reproduces every CSV byte for byte, for any
+worker count.
 """
 
 from __future__ import annotations
@@ -233,6 +234,17 @@ def _read_csv(path) -> dict:
     return out
 
 
+def _json_params(params: dict) -> dict:
+    """params as the manifest stores them: tuples written as lists."""
+    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()}
+
+
+def _params_sha256(params: dict) -> str:
+    """sha256 of the canonical params: sorted-key JSON of _json_params."""
+    text = json.dumps(_json_params(params), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @dataclass(frozen=True)
 class ResultManifest:
     experiment: str
@@ -243,12 +255,13 @@ class ResultManifest:
     version: str
     files: dict  # relative filename -> sha256 hex digest
     wall_clock_s: float
+    params_sha256: str = None  # _params_sha256 at run time; absent in older manifests
 
     def save(self, path) -> None:
         body = {
             "experiment": self.experiment,
-            "params": {k: (list(v) if isinstance(v, tuple) else v)
-                       for k, v in self.params.items()},
+            "params": _json_params(self.params),
+            "params_sha256": self.params_sha256,
             "seed": self.seed,
             "workers": self.workers,
             "full_scale": self.full_scale,
@@ -266,7 +279,7 @@ class ResultManifest:
             body = json.load(fh)
         if not isinstance(body, dict):
             raise ValueError(f"{path}: manifest is not a JSON object")
-        keys = [f.name for f in fields(ResultManifest)]
+        keys = [f.name for f in fields(ResultManifest) if f.name != "params_sha256"]
         missing = [k for k in keys if k not in body]
         if missing:
             raise ValueError(f"{path}: manifest lacks key(s) {', '.join(missing)}")
@@ -278,7 +291,10 @@ class ResultManifest:
         missing = [k for k in EXPERIMENTS[body["experiment"]].schema if k not in params]
         if missing:
             raise ValueError(f"{path}: manifest params lack key(s) {', '.join(missing)}")
-        return ResultManifest(**{k: body[k] for k in keys})
+        digest = body.get("params_sha256")
+        if digest is not None and not isinstance(digest, str):
+            raise ValueError(f"{path}: manifest params_sha256 is not a string")
+        return ResultManifest(params_sha256=digest, **{k: body[k] for k in keys})
 
 
 # -- runners ------------------------------------------------------------------------
@@ -546,7 +562,8 @@ def run(config: ExperimentConfig) -> ResultManifest:
     manifest = ResultManifest(
         experiment=config.experiment, params=config.params, seed=config.seed,
         workers=workers, full_scale=config.full_scale, version=__version__,
-        files=files, wall_clock_s=time.monotonic() - start)
+        files=files, wall_clock_s=time.monotonic() - start,
+        params_sha256=_params_sha256(config.params))
     manifest.save(os.path.join(config.out_dir, MANIFEST_NAME))
     return manifest
 
@@ -820,6 +837,9 @@ def verify(manifest_path) -> VerifyReport:
     checks = []
     tables = {}
     intact = True
+    if manifest.params_sha256 is not None:
+        intact = _params_sha256(manifest.params) == manifest.params_sha256
+        checks.append(("checksum:params", intact, "" if intact else "sha256 mismatch"))
     for name in sorted(manifest.files):
         path = os.path.join(base, name)
         if not os.path.exists(path):

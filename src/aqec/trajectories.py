@@ -51,6 +51,8 @@ FRAME_BLOCK = 1024       # most rows drawn and walked at once
 BLOCK_EVENTS = 8192      # expected events per block; bounds the padded arrays
 VIOLATION_SHARD = 65536  # samples per shard in the vectorized run-length sampler
 CHAIN_MAX_STATES = 4096  # largest phi space frame_chain_rates exponentiates
+# numpy's largest Poisson mean; a row's event count is Poisson(gamma * horizon)
+POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 _FAMILIES = ("Z", "X", "Y")  # initial-state families for the epsilon estimator
 
@@ -184,6 +186,13 @@ def _draw_block(rng: np.random.Generator, rows: int, gamma: float, horizon: floa
     labels = np.full(filled.shape, len(cum))
     labels[filled] = np.searchsorted(cum, flat[~is_time], side="right")
     return times, labels
+
+
+def _require_drawable(gamma: float, horizon: float) -> None:
+    """Raises unless _draw_block can draw Poisson(gamma * horizon) counts."""
+    if not gamma * horizon <= POISSON_LAM_MAX:
+        raise ValueError(f"gamma * horizon = {gamma * horizon:.3g} expected events per "
+                         f"trajectory exceeds the Poisson sampler's limit {POISSON_LAM_MAX:.3g}")
 
 
 def _block_rows(gamma: float, horizon: float) -> int:
@@ -356,9 +365,9 @@ def _run_shards(fn, n_samples: int, shard_size: int, seed: int, tag: str,
         return sum(pool.map(fn, sizes, rngs))
 
 
-def _readout_times(times) -> np.ndarray:
+def readout_times(times) -> np.ndarray:
     """times as a float array; raises unless nonempty, finite, nondecreasing
-    and nonnegative."""
+    and nonnegative.  The frame estimators and lindblad's integrator share it."""
     times = np.asarray(times, dtype=float)
     # phrased so that a NaN fails the comparisons
     if (len(times) == 0 or not np.all(np.diff(times) >= 0) or not times[0] >= 0
@@ -379,7 +388,8 @@ def estimate_epsilon(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     minimization over initial states is approximated by that worst case, which
     is exact for effective logical Pauli channels.
     """
-    times = _readout_times(times)
+    times = readout_times(times)
+    _require_drawable(params.gamma, times[-1])
     n_samples = _sample_count(n_samples)
     shard = partial(_epsilon_shard, code, decoder, noise, params, times.tolist())
     fails = _run_shards(shard, n_samples, FRAME_SHARD, seed, "epsilon", workers)
@@ -408,7 +418,7 @@ def frame_chain_rates(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     (n_x^2, n_y^2, n_z^2), which ranges over a simplex; its maximum is at a
     vertex, a cardinal state, and the sampled states hold all six.
     """
-    times = _readout_times(times)
+    times = readout_times(times)
     if noise.n_channels != params.n_channels:
         raise ValueError("noise model and params disagree on channel count")
     engine = _FrameEngine(code, decoder, noise)
@@ -446,6 +456,7 @@ def estimate_alpha(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
         raise ValueError(f"tau must be finite and nonnegative, got {tau}")
     n_samples = _sample_count(n_samples)
     params = PoissonParams(kappa=0.0, delta=delta, n_channels=noise.n_channels)
+    _require_drawable(params.gamma, tau)
     shard = partial(_epsilon_shard, code, decoder, noise, params, [float(tau)])
     fails = _run_shards(shard, n_samples, FRAME_SHARD, seed, "alpha", workers)
     est = fails[0] / n_samples  # Z-family row
@@ -501,6 +512,7 @@ def check_assumption2(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     n_samples = _sample_count(n_samples)
     if m == 0:
         return Assumption2Result(1.0, 1.0, 0.0, True, n_samples)
+    _require_drawable(params.gamma, m * t)
     shard = partial(_assumption2_shard, code, decoder, noise, params, t, m)
     tot = _run_shards(shard, n_samples, FRAME_SHARD, seed, "assumption2", workers)
     lhs = tot[0] / n_samples

@@ -152,7 +152,7 @@ def test_mwpm_cost_matches_brute_force(L):
     for _ in range(60):
         m = int(rng.choice([2, 4, 6]))
         defects = list(rng.choice(sites, size=m, replace=False))
-        dist = [[dec._tdist(a, b) for b in defects] for a in defects]
+        dist = [[dec._dist[a][b] for b in defects] for a in defects]
         mask = dec.sector_correction_mask(defects, "star")
         assert mask.bit_count() == brute_force_match_cost(dist)
 
@@ -171,7 +171,7 @@ def test_dp_matches_blossom_above_the_cap(m):
     rng = np.random.default_rng(140 + m)
     for _ in range(5):
         defects = [int(d) for d in rng.choice(36, size=m, replace=False)]
-        dist = [[dec._tdist(a, b) for b in defects] for a in defects]
+        dist = [[dec._dist[a][b] for b in defects] for a in defects]
         assert _matching_cost(dist, _dp_min_matching(dist)) == \
             _matching_cost(dist, _blossom_min_matching(dist))
 

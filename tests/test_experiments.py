@@ -11,6 +11,7 @@ from aqec.experiments import (
     ExperimentConfig,
     ResultManifest,
     _derive_seed,
+    _params_sha256,
     _read_csv,
     binomial_error_set,
     fig6_cutoff,
@@ -119,6 +120,28 @@ def test_run_writes_manifest_and_verify_passes(tmp_path):
     assert report.ok
     assert any(name.startswith("checksum:") for name, _, _ in report.checks)
     assert all(line.startswith("PASS") for line in report.lines())
+
+
+def test_verify_checks_params_checksum(tmp_path):
+    cfg = ExperimentConfig(experiment="fig3", out_dir=str(tmp_path / "f3"))
+    manifest = run(cfg)
+    assert manifest.params_sha256 == _params_sha256(cfg.params)
+    target = tmp_path / "f3" / "manifest.json"
+    path = str(target)
+    body = json.loads(target.read_text())
+    assert ("checksum:params", True, "") in verify(path).checks
+    # an edited value fails the check, and the assertions are not run on it
+    edited = dict(body, params=dict(body["params"], kappa=body["params"]["kappa"] * 2))
+    target.write_text(json.dumps(edited))
+    failed = [name for name, ok, _ in verify(path).checks if not ok]
+    assert failed == ["checksum:params", "assertions"]
+    # a manifest written before the params were checksummed still loads and verifies
+    del body["params_sha256"]
+    target.write_text(json.dumps(body))
+    assert ResultManifest.load(path).params_sha256 is None
+    report = verify(path)
+    assert report.ok, report.lines()
+    assert not any(name == "checksum:params" for name, _, _ in report.checks)
 
 
 # sha256 of every CSV the desk defaults write, recorded before the Pauli and

@@ -4,9 +4,9 @@ from scipy.linalg import expm
 
 from aqec.decoders import MajorityDecoder, build_lookup
 from aqec.lindblad import (
-    DensityMatrix,
     KrausChannel,
     TruncatedOscillator,
+    _integrate_stack,
     binomial_codewords,
     build_lindbladian,
     build_recovery,
@@ -15,7 +15,6 @@ from aqec.lindblad import (
     default_directions,
     delta_exact,
     epsilon_exact,
-    evolve,
     fibonacci_directions,
     kl_matrix,
     logical_states,
@@ -63,8 +62,8 @@ def test_dephasing_coherence_decay():
     # qubit dephasing at rate 1: off-diagonal decays at rate 2
     lind = build_lindbladian([(SZ, 1.0)])
     rho0 = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
-    for t in (0.2, 1.0, 2.5):
-        rho = evolve(lind, rho0, t).matrix
+    times = (0.2, 1.0, 2.5)
+    for t, rho in zip(times, _integrate_stack(lind, rho0[None], times)[:, 0]):
         assert rho[0, 1] == pytest.approx(0.3 * np.exp(-2 * t), abs=1e-8)
         assert rho[0, 0] == pytest.approx(0.5, abs=1e-8)
 
@@ -80,17 +79,19 @@ def test_generator_annihilates_trace_channel_preserves_it():
         assert abs(np.trace(chan.apply(rho)) - 1) < 1e-9
 
 
-def test_evolve_t0_and_validation():
-    lind = build_lindbladian([(SX, 1.0)])
-    rho0 = random_density(2)
-    assert np.allclose(evolve(lind, rho0, 0.0).matrix, rho0)
-    with pytest.raises(ValueError):
-        evolve(lind, 2 * rho0, 1.0)  # trace 2
-    for t in (-1.0, np.nan, np.inf):  # NaN and inf used to integrate without end
-        with pytest.raises(ValueError, match="times must be finite, nonnegative"):
-            evolve(lind, rho0, t)
-    with pytest.raises(ValueError):
-        DensityMatrix(np.array([[0.5, 0.4], [0.1, 0.5]]))  # not Hermitian
+def test_epsilon_exact_rejects_bad_times():
+    code = repetition_code(3)
+    rec = stabilizer_recovery(code, MajorityDecoder(code))
+    jumps = [(pauli_matrix(PauliOperator.single(3, q, "X")), 0.2) for q in range(3)]
+    lind = build_lindbladian(jumps) + recovery_lindbladian(rec, 1.0)
+    words = codespace_basis(code)
+    rho0 = random_density(8)
+    assert np.array_equal(_integrate_stack(lind, rho0[None], [0.0])[0, 0], rho0)
+    # NaN and inf used to integrate without end; empty times leaked an IndexError
+    for times in ([-1.0], [np.nan], [np.inf], [0.5, np.nan], [1.0, 0.5], []):
+        for exact in (epsilon_exact, delta_exact):
+            with pytest.raises(ValueError, match="times must be finite"):
+                exact(lind, rec, words, times, directions=cardinal_directions())
 
 
 def test_pure_recovery_closed_form():
@@ -103,8 +104,8 @@ def test_pure_recovery_closed_form():
     zero, _ = codespace_basis(code)
     err = pauli_matrix(PauliOperator.single(3, 1, "X"))
     rho0 = np.outer(err @ zero, (err @ zero).conj())
-    for t in (0.3, 1.2):
-        got = evolve(lind, rho0, t).matrix
+    times = (0.3, 1.2)
+    for t, got in zip(times, _integrate_stack(lind, rho0[None], times)[:, 0]):
         want = np.exp(-kappa * t) * rho0 + (1 - np.exp(-kappa * t)) * rec.apply(rho0)
         assert np.abs(got - want).max() < 1e-8
 
@@ -115,8 +116,8 @@ def test_evolve_matches_expm_oracle():
     lind = build_lindbladian(ops)
     dense = lind.to_dense()
     rho0 = random_density(4)
-    for t in (0.5, 1.7):
-        got = evolve(lind, rho0, t).matrix
+    times = (0.5, 1.7)
+    for t, got in zip(times, _integrate_stack(lind, rho0[None], times)[:, 0]):
         want = (expm(dense * t) @ rho0.reshape(-1)).reshape(4, 4)
         assert np.abs(got - want).max() < 1e-7
 
@@ -131,6 +132,21 @@ def test_composed_generator_dense_consistency():
     assert np.abs(total.to_dense() - le.to_dense() - lr.to_dense()).max() < 1e-12
     rho = random_density(8)
     assert np.abs(total.apply(rho) - le.apply(rho) - lr.apply(rho)).max() < 1e-12
+
+
+def test_generator_rejects_negative_rates_and_mismatched_dims():
+    code = repetition_code(3)
+    rec = stabilizer_recovery(code, MajorityDecoder(code))
+    with pytest.raises(ValueError, match="rates must be nonnegative"):
+        build_lindbladian([(SX, 0.5), (SZ, -0.1)])
+    with pytest.raises(ValueError, match="kappa must be nonnegative"):
+        recovery_lindbladian(rec, -1.0)
+    with pytest.raises(ValueError, match="square dimension"):
+        build_lindbladian([(SX, 0.5), (np.eye(4), 0.5)])
+    with pytest.raises(ValueError, match="at least one jump"):
+        build_lindbladian([])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        build_lindbladian([(SX, 0.5)]) + recovery_lindbladian(rec, 1.0)
 
 
 def test_codespace_basis_five_qubit():

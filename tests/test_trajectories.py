@@ -27,6 +27,7 @@ from aqec.trajectories import (
     BLOCK_EVENTS,
     FRAME_BLOCK,
     FRAME_SHARD,
+    POISSON_LAM_MAX,
     NoiseModel,
     PoissonParams,
     _block_rows,
@@ -481,6 +482,16 @@ def test_estimators_reject_bad_times_before_sampling(monkeypatch):
     for times in ([math.inf], [1.0, math.inf]):
         with pytest.raises(ValueError, match="times must be finite and nonnegative"):
             estimate_faithful_violation(6, noise.params(1.0, 1e-3), times, 100, seed=1)
+    # huge finite times used to leak numpy's "lam value too large" from _draw_block
+    with pytest.raises(ValueError, match="exceeds the Poisson sampler's limit"):
+        estimate_epsilon(code, dec, noise, params, [0.5, 1e300], 100, seed=1)
+    with pytest.raises(ValueError, match="exceeds the Poisson sampler's limit"):
+        estimate_alpha(code, dec, noise, 1e300, 100, seed=1)
+    with pytest.raises(ValueError, match="exceeds the Poisson sampler's limit"):
+        check_assumption2(code, dec, noise, params, t=1e200, m=3, n_samples=100, seed=1)
+    # gamma * horizon exactly at the limit is still drawable (params.gamma = 2)
+    with pytest.raises(AssertionError, match="a shard ran"):
+        estimate_epsilon(code, dec, noise, params, [POISSON_LAM_MAX / 2], 100, seed=1)
 
 
 def test_estimators_take_integral_sample_counts():
