@@ -16,6 +16,14 @@ at given times.  The walk carries each frame only as phi = (syndrome, logical
 parity), one int that each error event XORs, and decodes once per distinct
 syndrome per shard.
 
+The run-length violation sampler (estimate_faithful_violation) draws no
+event sequence.  A trajectory violates by t iff the label completing its
+first run of ell + 1 errors comes no later than its last event before t, so
+per trajectory it draws a Poisson event count, that first-run index by
+inverse CDF from a table, and the violation time as a Beta order statistic
+of the event times; binomial thinning first drops the trajectories with too
+few events to violate.
+
 Determinism contract: every estimator draws from per-shard streams keyed by
 (root seed, estimator tag, shard index) and merges shard statistics in shard
 order, so results are bit-identical for any worker count.
@@ -31,6 +39,7 @@ from functools import partial
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import gammainc
 
 from .decoders import Decoder
 from .paulis import PauliOperator, StabilizerCode, anticommutation_bits
@@ -49,7 +58,8 @@ __all__ = [
 FRAME_SHARD = 4096       # samples per shard in frame-tracking estimators
 FRAME_BLOCK = 1024       # most rows drawn and walked at once
 BLOCK_EVENTS = 8192      # expected events per block; bounds the padded arrays
-VIOLATION_SHARD = 65536  # samples per shard in the vectorized run-length sampler
+VIOLATION_SHARD = 65536  # samples per shard in the run-length sampler
+FIRST_RUN_CAP = 1 << 24  # most entries of the run-length sampler's tables
 CHAIN_MAX_STATES = 4096  # largest phi space frame_chain_rates exponentiates
 # numpy's largest Poisson mean; a row's event count is Poisson(gamma * horizon)
 POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
@@ -528,64 +538,107 @@ def check_assumption2(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
 # -- faithful-trajectory violation ------------------------------------------------
 
 
-def _violation_times_shard(ell: int, params: PoissonParams, horizon: float,
-                           n: int, rng: np.random.Generator) -> np.ndarray:
-    """First time a run of more than ell consecutive error labels completes.
+def _first_run_cdf(ell: int, p0: float, p1: float, size: int) -> np.ndarray:
+    """F[j] = P[M <= ell + 1 + j] for j < size, where label M completes the
+    first run of ell + 1 error labels; the table ends early once F stops
+    growing in floating point.
 
-    Gap construction: between recoveries, labels are i.i.d. with error
-    probability p1.  A gap violates iff its first ell+1 events are all errors
-    (probability p1^(ell+1)); the violation completes at the (ell+1)-th event
-    time, Gamma(ell+1)/gamma after the gap start.  Otherwise the gap holds
-    k <= ell errors then a recovery, with k truncated-geometric and duration
-    Gamma(k+1)/gamma.  Returns +inf where no violation occurs before horizon.
+    A run first completes at label m > ell + 1 iff labels m - ell .. m are
+    errors, label m - ell - 1 is a recovery and no run completed by label
+    m - ell - 2, so F[j] = F[j - 1] + p0 p1^(ell+1) (1 - F[j - ell - 2]),
+    with F = 0 before index 0.  A block of ell + 1 entries reads only earlier
+    blocks, so each block is one cumulative sum.
     """
-    gamma = params.gamma
-    out = np.full(n, np.inf)
-    if gamma == 0 or params.p1 == 0.0:
-        return out
-    p1 = params.p1
-    p_viol = p1 ** (ell + 1)
-    acc = np.zeros(n)
-    active = np.arange(n)
-    while active.size:
-        u = rng.random(active.size)
-        viol = u < p_viol
-        iv = active[viol]
-        if iv.size:
-            out[iv] = acc[iv] + rng.gamma(ell + 1, 1.0, size=iv.size) / gamma
-        isafe = active[~viol]
-        if isafe.size:
-            # k errors before the recovery, conditioned on k <= ell:
-            # P[K <= j] proportional to 1 - p1^(j+1)
-            uu = (u[~viol] - p_viol) / (1.0 - p_viol)
-            k = np.ceil(np.log1p(-uu * (1.0 - p_viol)) / np.log(p1) - 1.0).astype(np.int64)
-            k = np.clip(k, 0, ell)
-            acc[isafe] += rng.gamma(k + 1.0, 1.0) / gamma
-            isafe = isafe[acc[isafe] <= horizon]
-        active = isafe
-    return out
+    run = p1 ** (ell + 1)
+    step = p0 * run
+    f = np.empty(size)
+    head = min(ell + 2, size)
+    f[:head] = run + step * np.arange(head)  # entries up to ell + 1 read F = 0
+    for a in range(head, size, ell + 1):
+        b = min(a + ell + 1, size)
+        f[a:b] = step * (1.0 - f[a - ell - 2:b - ell - 2])
+        np.cumsum(f[a - 1:b], out=f[a - 1:b])
+        if f[b - 1] == f[a - 1]:
+            return f[:a]
+    return f
 
 
-def _violation_shard(ell: int, params: PoissonParams, horizon: float, times,
-                     n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Per-time violation counts; reducing here keeps the merge O(len(times))."""
-    tv = _violation_times_shard(ell, params, horizon, n_samples, rng)
-    return np.array([(tv <= t).sum() for t in times], dtype=np.int64)
+def _violation_shard(ell: int, lam: float, q: float, n_cdf, m_cdf, horizon: float,
+                     times, n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Per-time violation counts; reducing here keeps the merge O(len(times)).
+
+    Only rows with more than ell events can violate: their number is
+    Binomial(n_samples, q).  Each draws its event count N from Poisson(lam)
+    conditioned on N > ell (by rejection, or by n_cdf over ell + 1, ... when
+    q < 1/2), then its first-run label M from m_cdf.  A row with M <= N
+    violates at the M-th of N uniform event times, horizon * Beta(M, N-M+1).
+    """
+    rows = rng.binomial(n_samples, q)
+    if rows == 0:
+        return np.zeros(len(times), dtype=np.int64)
+    if n_cdf is None:
+        events = rng.poisson(lam, rows)
+        low = np.flatnonzero(events <= ell)
+        while low.size:
+            events[low] = rng.poisson(lam, low.size)
+            low = low[events[low] <= ell]
+    else:
+        events = ell + 1 + np.searchsorted(n_cdf, rng.random(rows), side="right")
+    # a draw past m_cdf's end names a label past the table, which ends at
+    # the largest likely N or where F stops growing
+    first = ell + 1 + np.searchsorted(m_cdf, rng.random(rows), side="right")
+    hit = first <= events
+    tv = horizon * rng.beta(first[hit], events[hit] - first[hit] + 1)
+    tv.sort()
+    return np.searchsorted(tv, times, side="right")
 
 
 def estimate_faithful_violation(ell: int, params: PoissonParams, times,
                                 n_samples: int, seed: int,
                                 workers: int = 1) -> MonteCarloEstimate:
-    """p(t): fraction of trajectories containing a run of > ell consecutive errors."""
+    """p(t): fraction of trajectories containing a run of > ell consecutive errors.
+
+    Event labels are i.i.d. and independent of the Poisson(gamma) event
+    times, so a trajectory has violated by t iff M <= N(t), where label M
+    completes the first run of ell + 1 errors and N(t) counts the events in
+    [0, t].  Per trajectory the sampler draws N = N(horizon) from its
+    Poisson law, M by inverse CDF from the first-run table
+    (_first_run_cdf), and the violation time as the M-th of N uniform event
+    times, a Beta order statistic; binomial thinning skips the trajectories
+    with N <= ell, which cannot violate.  The cost per trajectory does not
+    grow with the number of events.  The tables hold at most FIRST_RUN_CAP
+    entries; parameters that need more raise ValueError.
+    """
     _require_count("ell", ell)
-    times = np.asarray(times, dtype=float)
-    # a NaN would cut every trajectory at its first gap, and an infinite
-    # horizon would never end the gap loop
-    if not np.all((times >= 0) & (times < math.inf)):
-        raise ValueError("times must be finite and nonnegative")
+    times = readout_times(times)
     n_samples = _sample_count(n_samples)
-    horizon = float(times.max()) if len(times) else 0.0
-    shard = partial(_violation_shard, ell, params, horizon, times)
+    horizon = float(times[-1])
+    _require_drawable(params.gamma, horizon)
+    lam = params.gamma * horizon
+    run = params.p1 ** (ell + 1)
+    # no errors (gamma or Delta is 0), or runs so rare (below the smallest
+    # normal float) that none completes within POISSON_LAM_MAX events
+    q = float(gammainc(ell + 1, lam)) if run >= np.finfo(float).tiny else 0.0
+    n_cdf = m_cdf = None
+    if q > 0:
+        # past n_hi events lies less than the Poisson tail 40 sigma out; past
+        # `blocks` blocks of ell + 1 labels, each a run with probability
+        # p1^(ell+1), the first run is still to come with probability < 2^-53
+        n_hi = math.ceil(max(ell + 1, lam) + 40 * math.sqrt(lam) + 60)
+        blocks = 53 * math.log(2) / -math.log1p(-run) if run < 1 else 1
+        top = min(n_hi, (ell + 1) * math.ceil(min(blocks, n_hi)))
+        # the count table serves q < 1/2, where lam < ell + 2 keeps it short
+        size = max(top, n_hi if q < 0.5 else 0) - ell
+        if size > FIRST_RUN_CAP:
+            raise ValueError(f"the run-length sampler's tables for ell = {ell}, p1 = "
+                             f"{params.p1:.3g} and gamma * horizon = {lam:.3g} need "
+                             f"{size:.3g} entries, more than {FIRST_RUN_CAP}")
+        if q < 0.5:
+            pmf = np.cumprod(np.concatenate(([1.0], lam / np.arange(ell + 2, n_hi + 1))))
+            n_cdf = np.cumsum(pmf) / pmf.sum()
+            n_cdf[-1] = 1.0  # a draw never lands past the table
+        m_cdf = _first_run_cdf(ell, params.p0, params.p1, top - ell)
+    shard = partial(_violation_shard, ell, lam, q, n_cdf, m_cdf, horizon, times)
     counts = _run_shards(shard, n_samples, VIOLATION_SHARD, seed, "violation", workers)
     est = counts / n_samples
     stderr = _binomial_stderr(est, n_samples)

@@ -416,6 +416,17 @@ def test_p_exact_quadrature_matches_sampler():
         assert abs(v - est) <= 4 * se
 
 
+def test_p_exact_quadrature_matches_thinned_sampler():
+    # at t = 0.5 only q = P[N > 6] = 8e-5 of the trajectories hold enough
+    # events to violate; the sampler draws only those
+    bi = BoundInputs(ell=6, kappa=1.0, delta=1.0, n_channels=1)
+    assert gammainc(7, 1.0) == pytest.approx(8.3e-5, rel=1e-2)
+    params = PoissonParams(kappa=1.0, delta=1.0, n_channels=1)
+    mc = estimate_faithful_violation(6, params, [0.5], 1 << 27, seed=31)
+    assert mc.estimate[0] > 0
+    assert abs(p_exact_quadrature(bi, 0.5) - mc.estimate[0]) <= 4 * mc.stderr[0]
+
+
 def test_p_exact_quadrature_past_forty_rounds_matches_sampler():
     # a horizon of 20 mean recovery times; p(20) is exact, so sigma is the
     # sampler's alone

@@ -158,7 +158,7 @@ _DESK_SHA256 = {
     },
     "fig3": {
         "fig3_asymptotic.csv": "3ca9519859842607edad369eab0c79d01bd0284c1ec6d7c164098b4d9b30751d",
-        "fig3_mc.csv": "23dfa262b15311ab43db0cd583ab2766d6be485693d7ddee79d78e0b9d7ea546",
+        "fig3_mc.csv": "328b77b27ead04fb4177fbdf73b183d3e234bb7641107209c69cce7ae0f7ad51",
         "fig3_theorem2.csv": "e50de74bc438e217ee005b0a6424a7278dcc2ccd92d487020c724b4a8d591be4",
         "fig3_theorem4.csv": "29e4da044f97283c4935a30ad4751e7928ada60568a2322e78b6285e565bcf4c",
     },

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -32,6 +33,7 @@ from aqec.trajectories import (
     PoissonParams,
     _block_rows,
     _draw_block,
+    _first_run_cdf,
     _FrameEngine,
     _label_thresholds,
     check_assumption2,
@@ -339,6 +341,50 @@ def test_violation_deterministic_and_worker_invariant():
     assert np.array_equal(a.estimate, b.estimate)
 
 
+def test_violation_worker_invariant_when_thinned():
+    # q = P[N > ell] < 1/2: counts come from the truncated Poisson table
+    params = PoissonParams(kappa=1.0, delta=1.0, n_channels=1)
+    assert gammainc(7, params.gamma * 0.5) < 0.5
+    kw = dict(times=[0.25, 0.5], n_samples=1 << 22, seed=7)
+    a = estimate_faithful_violation(6, params, **kw, workers=1)
+    b = estimate_faithful_violation(6, params, **kw, workers=2)
+    assert a.estimate[-1] > 0
+    assert np.array_equal(a.estimate, b.estimate)
+
+
+def _first_run_brute(ell, p1, m):
+    """P[some run of ell + 1 errors among m i.i.d. labels], by enumeration."""
+    total = 0.0
+    for labels in itertools.product((0, 1), repeat=m):
+        run = longest = 0
+        for error in labels:
+            run = run + 1 if error else 0
+            longest = max(longest, run)
+        if longest > ell:
+            errors = sum(labels)
+            total += p1 ** errors * (1 - p1) ** (m - errors)
+    return total
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2, 3])
+@pytest.mark.parametrize("p1", [0.3, 0.5, 1.0])
+def test_first_run_cdf_matches_enumeration(ell, p1):
+    # F[j] = P[M <= ell + 1 + j]; a table that stopped growing holds its last value
+    table = _first_run_cdf(ell, 1.0 - p1, p1, 12 - ell)
+    for m in range(ell + 1, 13):
+        got = table[min(m - ell - 1, len(table) - 1)]
+        assert got == pytest.approx(_first_run_brute(ell, p1, m), abs=1e-12)
+
+
+def test_violation_tables_are_bounded():
+    params = PoissonParams(kappa=1.0, delta=1.0, n_channels=1)
+    # a first run expected after 2^22 labels, within 2e9 events: raise, not fill
+    with pytest.raises(ValueError, match="more than 16777216"):
+        estimate_faithful_violation(20, params, [1e9], 100, seed=1)
+    # a first run expected after 2^8 labels: the table stops growing early
+    assert estimate_faithful_violation(6, params, [1e12], 100, seed=1).estimate[0] == 1.0
+
+
 def test_epsilon_toric_memoized_decode():
     # toric frames go through the same decode memo as small codes
     code = toric_code(3)
@@ -475,12 +521,10 @@ def test_estimators_reject_bad_times_before_sampling(monkeypatch):
     for times in ([math.nan], [0.5, math.nan], [math.nan, 0.5]):
         with pytest.raises(ValueError, match="times must be"):
             estimate_epsilon(code, dec, noise, params, times, 100, seed=1)
-        # a NaN used to stop every run-length trajectory after its first gap
-        with pytest.raises(ValueError, match="times must be finite and nonnegative"):
+        with pytest.raises(ValueError, match="times must be finite, nondecreasing"):
             estimate_faithful_violation(2, params, times + [2.0], 100, seed=1)
-    # an infinite time never ended the run-length sampler's gap loop
-    for times in ([math.inf], [1.0, math.inf]):
-        with pytest.raises(ValueError, match="times must be finite and nonnegative"):
+    for times in ([math.inf], [1.0, math.inf], [], [2.0, 1.0]):
+        with pytest.raises(ValueError, match="times must be finite, nondecreasing"):
             estimate_faithful_violation(6, noise.params(1.0, 1e-3), times, 100, seed=1)
     # huge finite times used to leak numpy's "lam value too large" from _draw_block
     with pytest.raises(ValueError, match="exceeds the Poisson sampler's limit"):
