@@ -4,12 +4,13 @@ Covers the generic decoder bound and its soft-threshold scan, the tolerable-
 weight bound, the absorbing-walk recurrence, its large-N slope and its bound,
 the early-time bound, the flip-probability lower bound, the effective
 late-time rates, the run-length violation probability (asymptote, and the
-exact value from the run-length Markov chain's matrix exponential), and the
+exact value: a Poisson-weighted sum over the first-run table), and the
 perturbative dephasing shift for ring and torus recoveries with a brute-force
-enumeration oracle.
+enumeration oracle.  The first-run table and its size rule also serve the
+run-length sampler in trajectories.
 
 All evaluators are pure, accept scalar or array time arguments, and raise
-ValueError for missing or out-of-domain parameters instead of returning NaN.
+ValueError for missing or out-of-domain parameters or times, never NaN.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaln
 
 __all__ = [
     "BoundInputs",
@@ -47,6 +47,8 @@ __all__ = [
     "leading_exponent",
     "recurrence_slope_limit",
 ]
+
+FIRST_RUN_CAP = 1 << 24  # most entries of a first-run or Poisson-count table
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,14 @@ class BoundInputs:
         return self.n_channels * self.delta
 
 
+def _times(t) -> np.ndarray:
+    """t as a float array; raises ValueError for a negative, NaN or missing time."""
+    times = np.asarray(t, dtype=float)  # None becomes NaN
+    if not np.all(times >= 0):  # a NaN fails the comparison too
+        raise ValueError("t must be nonnegative")
+    return times
+
+
 def f_ell(ell: int, z):
     """Growth profile z g(ell, z) - ell g(ell+1, z), g the regularized
     lower incomplete gamma function.  Satisfies 0 <= F_ell(z) <= z."""
@@ -112,7 +122,7 @@ def theorem1_bound(inputs: BoundInputs, t):
     if inputs.kappa <= 0:
         raise ValueError("kappa must be positive")
     eta = (inputs.chi + 1) * inputs.delta * inputs.l_e_norm / inputs.kappa
-    return eta ** (inputs.ell + 1) * f_ell(inputs.ell, inputs.kappa * np.asarray(t, float)) \
+    return eta ** (inputs.ell + 1) * f_ell(inputs.ell, inputs.kappa * _times(t)) \
         / (inputs.chi + 1)
 
 
@@ -156,7 +166,7 @@ def theorem2_bound(inputs: BoundInputs, t):
     1 - exp(-(1-xi) N Delta (N Delta / (kappa + N Delta))^h t - xi (kappa + N Delta) t).
     """
     inputs.require("xi", "h", "kappa", "delta", "n_channels")
-    t = np.asarray(t, dtype=float)
+    t = _times(t)
     nd = inputs.total_rate
     gamma = inputs.kappa + nd
     surv = (nd / gamma) ** inputs.h if gamma > 0 else 0.0
@@ -222,14 +232,14 @@ def theorem3_bound(inputs: BoundInputs, t):
         with np.errstate(under="ignore"):
             s1 = math.exp(solve_recurrence(inputs.h, inputs.n_channels, p1).log_s1)
     rate = (1 - inputs.xi) * nd * s1 + inputs.xi * gamma
-    out = -np.expm1(-rate * np.asarray(t, dtype=float))
+    out = -np.expm1(-rate * _times(t))
     return out if out.ndim else float(out)
 
 
 def theorem4_bound(inputs: BoundInputs, t):
     """Early-time bound: F_ell((kappa + N Delta) t) / (1 + kappa / N Delta)^(ell+1)."""
     inputs.require("ell", "kappa", "delta", "n_channels")
-    t = np.asarray(t, dtype=float)
+    t = _times(t)
     nd = inputs.total_rate
     if nd == 0:
         out = np.zeros_like(t)
@@ -266,7 +276,7 @@ def theorem5_delta_eff_asymptotic(a: float, tau_c: float, kappa: float) -> float
 def theorem5_lower(a: float, tau_c: float, kappa: float, t):
     """Flip lower bound (1 - exp(-Delta_eff t)) / 2."""
     deff = theorem5_delta_eff(a, tau_c, kappa)
-    out = -np.expm1(-deff * np.asarray(t, dtype=float)) / 2
+    out = -np.expm1(-deff * _times(t)) / 2
     return out if out.ndim else float(out)
 
 
@@ -291,45 +301,90 @@ def delta_eff(inputs: BoundInputs) -> float:
 
 def p_asymptotic(inputs: BoundInputs, t):
     """Late-time violation probability 1 - exp(-Delta_eff t)."""
-    out = -np.expm1(-delta_eff(inputs) * np.asarray(t, dtype=float))
+    out = -np.expm1(-delta_eff(inputs) * _times(t))
     return out if out.ndim else float(out)
 
 
+def _first_run_cdf(ell: int, p0: float, p1: float, size: int) -> np.ndarray:
+    """F[j] = P[M <= ell + 1 + j] for j < size, where label M completes the
+    first run of ell + 1 error labels among i.i.d. labels (error with
+    probability p1, recovery with p0); the table ends early, after its last
+    growing entry, once F stops growing in floating point.
+
+    A run first completes at label m > ell + 1 iff labels m - ell .. m are
+    errors, label m - ell - 1 is a recovery and no run completed by label
+    m - ell - 2, so F[j] = F[j - 1] + p0 p1^(ell+1) (1 - F[j - ell - 2]),
+    with F = 0 before index 0.  The increments never grow, so once one
+    rounds away every later one does.
+    """
+    run = p1 ** (ell + 1)
+    step = p0 * run
+    f = [run + step * j for j in range(min(ell + 2, size))]  # these read F = 0
+    for j in range(len(f), size):
+        x = f[j - 1] + step * (1.0 - f[j - ell - 2])
+        if x == f[j - 1]:
+            break
+        f.append(x)
+    return np.array(f)
+
+
+def _first_run_sizes(ell: int, p1: float, lam: float) -> tuple:
+    """(n_hi, top) for labels counted by N ~ Poisson(lam).
+
+    Past n_hi labels lies less than the Poisson tail 40 sigma out.  Past
+    `blocks` blocks of ell + 1 labels, each a run with probability
+    p1^(ell+1), the first run is still to come with probability < 2^-53, so
+    the first-run table stops at label top, the earlier of the two.
+    """
+    run = p1 ** (ell + 1)
+    n_hi = math.ceil(max(ell + 1, lam) + 40 * math.sqrt(lam) + 60)
+    blocks = 53 * math.log(2) / -math.log1p(-run) if 0 < run < 1 else 1
+    return n_hi, min(n_hi, (ell + 1) * math.ceil(min(blocks, n_hi)))
+
+
+def _require_table_size(size: int, ell: int, p1: float, lam: float) -> None:
+    """Raises ValueError for a run-length table of more than FIRST_RUN_CAP entries."""
+    if size > FIRST_RUN_CAP:
+        raise ValueError(f"the run-length tables for ell = {ell}, p1 = {p1:.3g} and "
+                         f"gamma t = {lam:.3g} need {size:.3g} entries, more than "
+                         f"{FIRST_RUN_CAP}")
+
+
+def _poisson_weights(lam: float, counts: np.ndarray) -> np.ndarray:
+    """Poisson(lam) probabilities of the counts, for lam > 0."""
+    return np.exp(counts * math.log(lam) - lam - gammaln(counts + 1.0))
+
+
 def p_exact_quadrature(inputs: BoundInputs, t):
-    """Exact run-length violation probability from a Markov chain.
+    """Exact run-length violation probability p(t) = P[M <= N(t)].
 
-    States 0..ell count the errors since the last recovery and ell+1 is the
-    absorbing violation; errors move k -> k+1 at rate N Delta and recoveries
-    move k -> 0 at rate kappa.  p(t) is entry (0, ell+1) of expm(Q t)
-    (scaling and squaring, Al-Mohy & Higham 2009), for every kappa >= 0.
-
-    Unscaled, the float expm is accurate against the largest entries of
-    expm(Q t), not against p, which can be tens of orders smaller.  So the
-    chain is exponentiated as D Q t D^-1 with D = diag(c^k) and
-    c = N Delta min(t, 1/(kappa + N Delta)), and p is entry (0, ell+1) times
-    c^(ell+1); at N Delta = 0 or t = 0, p is 0.  Against a 50-digit
-    evaluation of the same chain at kappa = N Delta = 1, ell in {2, 6, 10}
-    and t in [0.001, 60] (p down to 2.5e-41), the relative error is below
-    1e-13.  Open: at ell = 20, t = 0.5 (p = 3.7e-27) it is still 4.2e-5.
+    The labels are independent of the Poisson((kappa + N Delta) t) event
+    count N(t), so p(t) = sum_N Pois(N) F[N - ell - 1] over the first-run
+    table F, a sum of nonnegative terms, plus F[-1] P[N > end] past the
+    table's end; one table, sized for the largest time, serves every time.
+    Against a 50-digit evaluation of the run-length chain at
+    kappa = N Delta = 1, ell in {2, 6, 10, 20} and t in [0.001, 60], the
+    relative error is below 1e-13.  Domain: t must be finite, and a table of
+    more than FIRST_RUN_CAP entries raises ValueError, as in the run-length
+    sampler (for example ell = 20, kappa = N Delta = 1, t = 1e9).
     """
     inputs.require("ell", "kappa", "delta", "n_channels")
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all(times >= 0):  # a NaN fails the comparison too
-        raise ValueError("t must be nonnegative")
+    times = np.atleast_1d(_times(t))
+    if not np.all(np.isfinite(times)):
+        raise ValueError("t must be finite")
     ell = int(inputs.ell)
-    nd, kappa = inputs.total_rate, inputs.kappa
+    nd, gamma = inputs.total_rate, inputs.kappa + inputs.total_rate
     out = np.zeros(times.shape)
     if nd == 0:  # no errors, no violation
         return out if np.ndim(t) else 0.0
-    live = times > 0
-    ts = times[live]
-    c = nd * np.minimum(ts, 1.0 / (kappa + nd))
-    k = np.arange(ell + 1)
-    q = np.zeros((len(ts), ell + 2, ell + 2))
-    q[:, k, k + 1] = (nd * ts / c)[:, None]
-    q[:, k[1:], 0] = kappa * ts[:, None] * c[:, None] ** k[1:]
-    q[:, k, k] = -(nd + kappa * (k > 0)) * ts[:, None]
-    out[live] = expm(q)[:, 0, ell + 1] * c ** (ell + 1)
+    lam, p1 = gamma * times, nd / gamma
+    _, top = _first_run_sizes(ell, p1, lam.max())
+    _require_table_size(top - ell, ell, p1, lam.max())
+    f = _first_run_cdf(ell, inputs.kappa / gamma, p1, top - ell)
+    counts = np.arange(ell + 1.0, ell + 1.0 + len(f))
+    for i in np.flatnonzero(lam):  # p(0) = 0
+        tail = gammainc(counts[-1] + 1, lam[i])  # P[N > counts[-1]]
+        out[i] = _poisson_weights(lam[i], counts) @ f + f[-1] * tail
     return out if np.ndim(t) else float(out[0])
 
 

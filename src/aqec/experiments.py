@@ -285,6 +285,9 @@ class ResultManifest:
             raise ValueError(f"{path}: manifest lacks key(s) {', '.join(missing)}")
         if not isinstance(body["experiment"], str) or body["experiment"] not in EXPERIMENTS:
             raise ValueError(f"{path}: unknown experiment {body['experiment']!r}")
+        files = body["files"]
+        if not (isinstance(files, dict) and all(isinstance(v, str) for v in files.values())):
+            raise ValueError(f"{path}: manifest files are not an object of string digests")
         params = body["params"]
         if not isinstance(params, dict):
             raise ValueError(f"{path}: manifest params are not a JSON object")
@@ -830,12 +833,23 @@ EXPERIMENTS = {
 }
 
 
+class _UnlistedTable(Exception):
+    """A verifier read a table that the manifest does not list."""
+
+
+class _Tables(dict):
+    """Checksummed tables by file name; reading any other name raises _UnlistedTable."""
+
+    def __missing__(self, name):
+        raise _UnlistedTable(name)
+
+
 def verify(manifest_path) -> VerifyReport:
     """Recompute checksums, then run the acceptance assertions for the experiment."""
     manifest = ResultManifest.load(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
     checks = []
-    tables = {}
+    tables = _Tables()
     intact = True
     if manifest.params_sha256 is not None:
         intact = _params_sha256(manifest.params) == manifest.params_sha256
@@ -853,7 +867,10 @@ def verify(manifest_path) -> VerifyReport:
         if ok and name.endswith(".csv"):
             tables[name] = _read_csv(path)
     if intact:
-        checks.extend(EXPERIMENTS[manifest.experiment].verifier(tables, manifest.params))
+        try:
+            checks.extend(EXPERIMENTS[manifest.experiment].verifier(tables, manifest.params))
+        except _UnlistedTable as exc:
+            checks.append((f"table:{exc}", False, "needed but not listed in the manifest"))
     else:
         checks.append(("assertions", False, "skipped: checksum failures above"))
     return VerifyReport(checks=tuple(checks))

@@ -20,9 +20,10 @@ The run-length violation sampler (estimate_faithful_violation) draws no
 event sequence.  A trajectory violates by t iff the label completing its
 first run of ell + 1 errors comes no later than its last event before t, so
 per trajectory it draws a Poisson event count, that first-run index by
-inverse CDF from a table, and the violation time as a Beta order statistic
-of the event times; binomial thinning first drops the trajectories with too
-few events to violate.
+inverse CDF from the first-run table (bounds._first_run_cdf, whose
+Poisson-weighted sum is the exact p(t) of bounds.p_exact_quadrature), and the
+violation time as a Beta order statistic of the event times; binomial
+thinning first drops the trajectories with too few events to violate.
 
 Determinism contract: every estimator draws from per-shard streams keyed by
 (root seed, estimator tag, shard index) and merges shard statistics in shard
@@ -41,6 +42,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import gammainc
 
+from .bounds import _first_run_cdf, _first_run_sizes, _poisson_weights, _require_table_size
 from .decoders import Decoder
 from .paulis import PauliOperator, StabilizerCode, anticommutation_bits
 
@@ -59,7 +61,6 @@ FRAME_SHARD = 4096       # samples per shard in frame-tracking estimators
 FRAME_BLOCK = 1024       # most rows drawn and walked at once
 BLOCK_EVENTS = 8192      # expected events per block; bounds the padded arrays
 VIOLATION_SHARD = 65536  # samples per shard in the run-length sampler
-FIRST_RUN_CAP = 1 << 24  # most entries of the run-length sampler's tables
 CHAIN_MAX_STATES = 4096  # largest phi space frame_chain_rates exponentiates
 # numpy's largest Poisson mean; a row's event count is Poisson(gamma * horizon)
 POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
@@ -538,31 +539,6 @@ def check_assumption2(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
 # -- faithful-trajectory violation ------------------------------------------------
 
 
-def _first_run_cdf(ell: int, p0: float, p1: float, size: int) -> np.ndarray:
-    """F[j] = P[M <= ell + 1 + j] for j < size, where label M completes the
-    first run of ell + 1 error labels; the table ends early once F stops
-    growing in floating point.
-
-    A run first completes at label m > ell + 1 iff labels m - ell .. m are
-    errors, label m - ell - 1 is a recovery and no run completed by label
-    m - ell - 2, so F[j] = F[j - 1] + p0 p1^(ell+1) (1 - F[j - ell - 2]),
-    with F = 0 before index 0.  A block of ell + 1 entries reads only earlier
-    blocks, so each block is one cumulative sum.
-    """
-    run = p1 ** (ell + 1)
-    step = p0 * run
-    f = np.empty(size)
-    head = min(ell + 2, size)
-    f[:head] = run + step * np.arange(head)  # entries up to ell + 1 read F = 0
-    for a in range(head, size, ell + 1):
-        b = min(a + ell + 1, size)
-        f[a:b] = step * (1.0 - f[a - ell - 2:b - ell - 2])
-        np.cumsum(f[a - 1:b], out=f[a - 1:b])
-        if f[b - 1] == f[a - 1]:
-            return f[:a]
-    return f
-
-
 def _violation_shard(ell: int, lam: float, q: float, n_cdf, m_cdf, horizon: float,
                      times, n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Per-time violation counts; reducing here keeps the merge O(len(times)).
@@ -603,11 +579,12 @@ def estimate_faithful_violation(ell: int, params: PoissonParams, times,
     completes the first run of ell + 1 errors and N(t) counts the events in
     [0, t].  Per trajectory the sampler draws N = N(horizon) from its
     Poisson law, M by inverse CDF from the first-run table
-    (_first_run_cdf), and the violation time as the M-th of N uniform event
-    times, a Beta order statistic; binomial thinning skips the trajectories
-    with N <= ell, which cannot violate.  The cost per trajectory does not
-    grow with the number of events.  The tables hold at most FIRST_RUN_CAP
-    entries; parameters that need more raise ValueError.
+    (bounds._first_run_cdf, which also gives p_exact_quadrature), and the
+    violation time as the M-th of N uniform event times, a Beta order
+    statistic; binomial thinning skips the trajectories with N <= ell, which
+    cannot violate.  The cost per trajectory does not grow with the number
+    of events.  The tables hold at most bounds.FIRST_RUN_CAP entries;
+    parameters that need more raise ValueError.
     """
     _require_count("ell", ell)
     times = readout_times(times)
@@ -621,20 +598,11 @@ def estimate_faithful_violation(ell: int, params: PoissonParams, times,
     q = float(gammainc(ell + 1, lam)) if run >= np.finfo(float).tiny else 0.0
     n_cdf = m_cdf = None
     if q > 0:
-        # past n_hi events lies less than the Poisson tail 40 sigma out; past
-        # `blocks` blocks of ell + 1 labels, each a run with probability
-        # p1^(ell+1), the first run is still to come with probability < 2^-53
-        n_hi = math.ceil(max(ell + 1, lam) + 40 * math.sqrt(lam) + 60)
-        blocks = 53 * math.log(2) / -math.log1p(-run) if run < 1 else 1
-        top = min(n_hi, (ell + 1) * math.ceil(min(blocks, n_hi)))
+        n_hi, top = _first_run_sizes(ell, params.p1, lam)
         # the count table serves q < 1/2, where lam < ell + 2 keeps it short
-        size = max(top, n_hi if q < 0.5 else 0) - ell
-        if size > FIRST_RUN_CAP:
-            raise ValueError(f"the run-length sampler's tables for ell = {ell}, p1 = "
-                             f"{params.p1:.3g} and gamma * horizon = {lam:.3g} need "
-                             f"{size:.3g} entries, more than {FIRST_RUN_CAP}")
+        _require_table_size((n_hi if q < 0.5 else top) - ell, ell, params.p1, lam)
         if q < 0.5:
-            pmf = np.cumprod(np.concatenate(([1.0], lam / np.arange(ell + 2, n_hi + 1))))
+            pmf = _poisson_weights(lam, np.arange(ell + 1.0, n_hi + 1.0))
             n_cdf = np.cumsum(pmf) / pmf.sum()
             n_cdf[-1] = 1.0  # a draw never lands past the table
         m_cdf = _first_run_cdf(ell, params.p0, params.p1, top - ell)

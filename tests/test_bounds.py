@@ -384,6 +384,42 @@ def test_p_exact_quadrature_rejects_fractional_ell():
         == p_exact_quadrature(BoundInputs(ell=2, **rates), 1.0)
 
 
+def test_p_exact_quadrature_at_ell_20_matches_uniformization():
+    # p = 3.7e-27: the old scaled matrix exponential was 4.2e-5 off here
+    bi = BoundInputs(ell=20, kappa=1.0, delta=1.0, n_channels=1)
+    want = _violation_uniformized(20, 1.0, 1.0, 0.5)
+    assert p_exact_quadrature(bi, 0.5) == pytest.approx(want, rel=1e-10, abs=0)
+
+
+def test_p_exact_quadrature_is_a_probability_at_late_times():
+    bi = BoundInputs(ell=6, kappa=1.0, delta=1.0, n_channels=1)
+    late = p_exact_quadrature(bi, np.array([1e3, 1e9]))
+    assert np.all((0.99 < late) & (late <= 1.0))
+    # ell = 0 is the first error: 1 - e^(-N Delta t), here with N t ~ 1000
+    # events before it
+    bi0 = BoundInputs(ell=0, kappa=1.0, delta=1e-4, n_channels=1)
+    assert p_exact_quadrature(bi0, 1e3) == pytest.approx(-math.expm1(-0.1), rel=1e-10)
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, None, [2.0, -0.5]])
+def test_evaluators_reject_bad_times(t):
+    bi = BoundInputs(ell=2, h=2, xi=0.1, chi=1.0, kappa=1.0, delta=0.5,
+                     n_channels=3, l_e_norm=1.0)
+    calls = [theorem1_bound, theorem2_bound, theorem3_bound, theorem4_bound,
+             p_asymptotic, p_exact_quadrature,
+             lambda _, t: theorem5_lower(0.5, 1.0, 1.0, t)]
+    for call in calls:
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            call(bi, t)
+
+
+def test_p_exact_quadrature_rejects_infinite_time():
+    bi = BoundInputs(ell=2, kappa=1.0, delta=1.0, n_channels=1)
+    for t in (math.inf, [1.0, math.inf]):
+        with pytest.raises(ValueError, match="t must be finite"):
+            p_exact_quadrature(bi, t)
+
+
 def test_p_exact_quadrature_closed_forms():
     # ell = 0 collapses to 1 - e^(-N Delta t) for every recovery rate
     for kappa in (0.0, 0.7, 3.0):

@@ -415,14 +415,27 @@ _MANIFEST_BODY = {"experiment": "appH", "params": {}, "seed": 1, "workers": 1,
     (dict(_MANIFEST_BODY, params=[]), "params are not a JSON object"),
     (dict(_MANIFEST_BODY, experiment="figE7",
           params={"n_values": [1000], "kd_values": [2.0]}), "params lack key(s) h_fraction"),
+    (dict(_MANIFEST_BODY, files=["appH_table.csv"]), "files are not an object of string"),
+    (dict(_MANIFEST_BODY, files={"appH_table.csv": 5}), "files are not an object of string"),
 ], ids=["unknown_experiment", "list_experiment", "missing_params", "json_list",
-        "params_list", "figE7_missing_h_fraction"])
+        "params_list", "figE7_missing_h_fraction", "files_list", "files_int_digest"])
 def test_cli_verify_malformed_manifest_exits_1(tmp_path, capsys, body, named):
     path = _write(tmp_path / "manifest.json", json.dumps(body))
     assert cli.main(["verify", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert "Traceback" not in err
+
+
+def test_cli_verify_unlisted_table_exits_2(tmp_path, capsys):
+    cfg = ExperimentConfig(experiment="fig2", out_dir=str(tmp_path / "f2"))
+    run(cfg)
+    target = tmp_path / "f2" / "manifest.json"
+    target.write_text(json.dumps(dict(json.loads(target.read_text()), files={})))
+    assert cli.main(["verify", str(target)]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL table:fig2_minima.csv" in out
+    assert "Traceback" not in out
 
 
 def test_cli_recurrence_output(capsys):
@@ -449,6 +462,15 @@ def test_cli_bounds_grid(tmp_path, capsys):
     assert values[0] == pytest.approx(np.exp(-1.0), rel=1e-12)
     assert values[1] == pytest.approx(2.0 ** -7, rel=1e-12)
     assert values[2] == pytest.approx(-np.expm1(-2.0 / 64.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("t", ["", "-1.0", "nan"])
+def test_cli_bounds_bad_time_exits_1(tmp_path, capsys, t):
+    grid = _write(tmp_path / "g.csv",
+                  "op,ell,h,xi,kappa,delta,n_channels,t\n"
+                  f"theorem2,,6,0.0,1.0,1.0,1,{t}\n")
+    assert cli.main(["bounds", "--grid", grid]) == 1
+    assert capsys.readouterr().err.startswith("error: t must be nonnegative")
 
 
 def test_cli_bounds_unknown_op_exits_1(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import gammainc
 
 from aqec import trajectories
+from aqec.bounds import BoundInputs, _first_run_cdf, p_exact_quadrature
 from aqec.decoders import MajorityDecoder, MwpmDecoder, apply_recovery, build_lookup
 from aqec.lindblad import (
     build_lindbladian,
@@ -33,7 +34,6 @@ from aqec.trajectories import (
     PoissonParams,
     _block_rows,
     _draw_block,
-    _first_run_cdf,
     _FrameEngine,
     _label_thresholds,
     check_assumption2,
@@ -376,11 +376,23 @@ def test_first_run_cdf_matches_enumeration(ell, p1):
         assert got == pytest.approx(_first_run_brute(ell, p1, m), abs=1e-12)
 
 
+@pytest.mark.parametrize("p1", [1e-4, 0.3])
+def test_first_run_cdf_at_ell_0_is_geometric(p1):
+    # the first error label: F[j] = 1 - p0^(j+1); at p1 = 1e-4 the table
+    # stops growing after about 2.8e5 entries
+    table = _first_run_cdf(0, 1.0 - p1, p1, 400_000)
+    assert len(table) < 400_000
+    j = np.arange(len(table))
+    assert table == pytest.approx(-np.expm1((j + 1) * np.log1p(-p1)), rel=1e-12, abs=0)
+
+
 def test_violation_tables_are_bounded():
     params = PoissonParams(kappa=1.0, delta=1.0, n_channels=1)
     # a first run expected after 2^22 labels, within 2e9 events: raise, not fill
     with pytest.raises(ValueError, match="more than 16777216"):
         estimate_faithful_violation(20, params, [1e9], 100, seed=1)
+    with pytest.raises(ValueError, match="more than 16777216"):
+        p_exact_quadrature(BoundInputs(ell=20, kappa=1.0, delta=1.0, n_channels=1), 1e9)
     # a first run expected after 2^8 labels: the table stops growing early
     assert estimate_faithful_violation(6, params, [1e12], 100, seed=1).estimate[0] == 1.0
 
