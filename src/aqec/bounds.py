@@ -16,7 +16,7 @@ ValueError for missing or out-of-domain parameters or times, never NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 
 import numpy as np
@@ -51,6 +51,23 @@ __all__ = [
 FIRST_RUN_CAP = 1 << 24  # most entries of a first-run or Poisson-count table
 
 
+def _require_count(name: str, v) -> int:
+    """v as an int; raises ValueError unless v is a nonnegative integer
+    (integral floats such as 15.0 pass)."""
+    if not (v >= 0 and float(v).is_integer()):  # a NaN fails the comparison
+        raise ValueError(f"{name} must be a nonnegative integer")
+    return int(v)
+
+
+def _require_finite(name: str, v) -> np.ndarray:
+    """v as a float array; raises ValueError unless v, a number or an array,
+    is finite and nonnegative throughout.  None reads as NaN."""
+    v = np.asarray(v, dtype=float)
+    if not np.all((v >= 0) & (v < math.inf)):  # a NaN fails both comparisons
+        raise ValueError(f"{name} must be finite and nonnegative")
+    return v
+
+
 @dataclass(frozen=True)
 class BoundInputs:
     """Shared parameter bag; each evaluator validates the fields it needs.
@@ -58,29 +75,28 @@ class BoundInputs:
     ell: error radius; h: tolerable error weight; xi: tolerable-weight
     failure probability; chi: bound prefactor; kappa: recovery rate; delta:
     per-channel error rate; n_channels: N; l_e_norm: the induced
-    error-generator norm; r0: soft-threshold scale.
+    error-generator norm; r0: soft-threshold scale.  A given field must be
+    finite and nonnegative, and an integer if it is one of COUNT_FIELDS.
     """
 
+    COUNT_FIELDS = ("ell", "h", "n_channels")
+
     ell: int = None
-    h: float = None
+    h: int = None
     xi: float = None
     chi: float = None
     kappa: float = None
     delta: float = None
-    n_channels: float = None
+    n_channels: int = None
     l_e_norm: float = None
     r0: float = None
 
     def __post_init__(self):
-        for name in ("ell", "h", "xi", "chi", "kappa", "delta",
-                     "n_channels", "l_e_norm", "r0"):
-            v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        for name in ("ell", "h", "n_channels"):
-            v = getattr(self, name)
-            if v is not None and not float(v).is_integer():
-                raise ValueError(f"{name} must be a nonnegative integer")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is not None:
+                check = _require_count if f.name in self.COUNT_FIELDS else _require_finite
+                check(f.name, v)
         if self.xi is not None and self.xi > 1:
             raise ValueError("xi must lie in [0, 1]")
         if self.h is not None and self.ell is not None and self.h < self.ell:
@@ -96,22 +112,12 @@ class BoundInputs:
         return self.n_channels * self.delta
 
 
-def _times(t) -> np.ndarray:
-    """t as a float array; raises ValueError for a negative, NaN or missing time."""
-    times = np.asarray(t, dtype=float)  # None becomes NaN
-    if not np.all(times >= 0):  # a NaN fails the comparison too
-        raise ValueError("t must be nonnegative")
-    return times
-
-
 def f_ell(ell: int, z):
     """Growth profile z g(ell, z) - ell g(ell+1, z), g the regularized
     lower incomplete gamma function.  Satisfies 0 <= F_ell(z) <= z."""
-    if ell < 1 or int(ell) != ell:
+    if _require_count("ell", ell) < 1:
         raise ValueError("ell must be a positive integer")
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise ValueError("z must be nonnegative")
+    z = _require_finite("z", z)
     out = z * gammainc(ell, z) - ell * gammainc(ell + 1, z)
     return out if out.ndim else float(out)
 
@@ -122,8 +128,8 @@ def theorem1_bound(inputs: BoundInputs, t):
     if inputs.kappa <= 0:
         raise ValueError("kappa must be positive")
     eta = (inputs.chi + 1) * inputs.delta * inputs.l_e_norm / inputs.kappa
-    return eta ** (inputs.ell + 1) * f_ell(inputs.ell, inputs.kappa * _times(t)) \
-        / (inputs.chi + 1)
+    z = inputs.kappa * _require_finite("t", t)
+    return eta ** (inputs.ell + 1) * f_ell(inputs.ell, z) / (inputs.chi + 1)
 
 
 @dataclass(frozen=True)
@@ -166,7 +172,7 @@ def theorem2_bound(inputs: BoundInputs, t):
     1 - exp(-(1-xi) N Delta (N Delta / (kappa + N Delta))^h t - xi (kappa + N Delta) t).
     """
     inputs.require("xi", "h", "kappa", "delta", "n_channels")
-    t = _times(t)
+    t = _require_finite("t", t)
     nd = inputs.total_rate
     gamma = inputs.kappa + nd
     surv = (nd / gamma) ** inputs.h if gamma > 0 else 0.0
@@ -232,14 +238,14 @@ def theorem3_bound(inputs: BoundInputs, t):
         with np.errstate(under="ignore"):
             s1 = math.exp(solve_recurrence(inputs.h, inputs.n_channels, p1).log_s1)
     rate = (1 - inputs.xi) * nd * s1 + inputs.xi * gamma
-    out = -np.expm1(-rate * _times(t))
+    out = -np.expm1(-rate * _require_finite("t", t))
     return out if out.ndim else float(out)
 
 
 def theorem4_bound(inputs: BoundInputs, t):
     """Early-time bound: F_ell((kappa + N Delta) t) / (1 + kappa / N Delta)^(ell+1)."""
     inputs.require("ell", "kappa", "delta", "n_channels")
-    t = _times(t)
+    t = _require_finite("t", t)
     nd = inputs.total_rate
     if nd == 0:
         out = np.zeros_like(t)
@@ -259,12 +265,12 @@ def theorem4_late_slope(inputs: BoundInputs) -> float:
 
 def theorem5_delta_eff(a: float, tau_c: float, kappa: float) -> float:
     """-kappa log(1 - a e^(-kappa tau_c)) / (kappa tau_c + log 2)."""
+    for name, v in (("a", a), ("tau_c", tau_c), ("kappa", kappa)):
+        _require_finite(name, v)
     if not 0 < a < 1:
         raise ValueError("a must lie in (0, 1)")
-    if tau_c <= 0:
+    if tau_c == 0:
         raise ValueError("tau_c must be positive")
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
     return -kappa * math.log1p(-a * math.exp(-kappa * tau_c)) / (kappa * tau_c + math.log(2))
 
 
@@ -276,7 +282,7 @@ def theorem5_delta_eff_asymptotic(a: float, tau_c: float, kappa: float) -> float
 def theorem5_lower(a: float, tau_c: float, kappa: float, t):
     """Flip lower bound (1 - exp(-Delta_eff t)) / 2."""
     deff = theorem5_delta_eff(a, tau_c, kappa)
-    out = -np.expm1(-deff * _times(t)) / 2
+    out = -np.expm1(-deff * _require_finite("t", t)) / 2
     return out if out.ndim else float(out)
 
 
@@ -301,7 +307,7 @@ def delta_eff(inputs: BoundInputs) -> float:
 
 def p_asymptotic(inputs: BoundInputs, t):
     """Late-time violation probability 1 - exp(-Delta_eff t)."""
-    out = -np.expm1(-delta_eff(inputs) * _times(t))
+    out = -np.expm1(-delta_eff(inputs) * _require_finite("t", t))
     return out if out.ndim else float(out)
 
 
@@ -364,14 +370,12 @@ def p_exact_quadrature(inputs: BoundInputs, t):
     table's end; one table, sized for the largest time, serves every time.
     Against a 50-digit evaluation of the run-length chain at
     kappa = N Delta = 1, ell in {2, 6, 10, 20} and t in [0.001, 60], the
-    relative error is below 1e-13.  Domain: t must be finite, and a table of
+    relative error is below 1e-14.  Domain: t must be finite, and a table of
     more than FIRST_RUN_CAP entries raises ValueError, as in the run-length
     sampler (for example ell = 20, kappa = N Delta = 1, t = 1e9).
     """
     inputs.require("ell", "kappa", "delta", "n_channels")
-    times = np.atleast_1d(_times(t))
-    if not np.all(np.isfinite(times)):
-        raise ValueError("t must be finite")
+    times = np.atleast_1d(_require_finite("t", t))
     ell = int(inputs.ell)
     nd, gamma = inputs.total_rate, inputs.kappa + inputs.total_rate
     out = np.zeros(times.shape)
@@ -384,7 +388,12 @@ def p_exact_quadrature(inputs: BoundInputs, t):
     counts = np.arange(ell + 1.0, ell + 1.0 + len(f))
     for i in np.flatnonzero(lam):  # p(0) = 0
         tail = gammainc(counts[-1] + 1, lam[i])  # P[N > counts[-1]]
-        out[i] = _poisson_weights(lam[i], counts) @ f + f[-1] * tail
+        # rescaled to sum to P[ell + 1 <= N <= counts[-1]]: rounding ln(lam)
+        # gives every weight the same relative error, about N ln(lam) 2^-53
+        w = _poisson_weights(lam[i], counts)
+        if w.sum() > 0:  # when every weight underflows, the tail term is p
+            w *= (gammainc(ell + 1, lam[i]) - tail) / w.sum()
+        out[i] = w @ f + f[-1] * tail
     return out if np.ndim(t) else float(out[0])
 
 
@@ -441,10 +450,11 @@ def toric_perturbative(side: int, kappa: float, delta: float, dims: str = "2D") 
     are rejected in both geometries: at L = 4 in 2D the exact leading
     coefficient is 48, not the formula's 192.
     """
-    if kappa <= 0:
+    side = _require_count("side", side)
+    _require_finite("kappa", kappa)
+    _require_finite("delta", delta)
+    if kappa == 0:
         raise ValueError("kappa must be positive")
-    if side < 1:
-        raise ValueError("side must be positive")
     if dims not in ("1D", "2D"):
         raise ValueError("dims must be '1D' or '2D'")
     if side % 2 == 0:

@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import sys
+from dataclasses import fields
 
 from .bounds import (
     BoundInputs,
@@ -29,9 +30,7 @@ from .bounds import (
 )
 from .experiments import parse_config, run, verify
 
-_INPUT_FIELDS = ("ell", "h", "xi", "chi", "kappa", "delta", "n_channels",
-                 "l_e_norm", "r0")
-_INT_FIELDS = {"ell", "h", "n_channels", "side"}
+_INT_FIELDS = {*BoundInputs.COUNT_FIELDS, "side"}
 
 
 def _cell(row, key):
@@ -49,7 +48,7 @@ def _cell(row, key):
 def _eval_bounds_row(row):
     """(value, extra) for one grid row; extra carries secondary outputs."""
     op = (row.get("op") or "").strip()
-    inputs = BoundInputs(**{k: _cell(row, k) for k in _INPUT_FIELDS})
+    inputs = BoundInputs(**{f.name: _cell(row, f.name) for f in fields(BoundInputs)})
     t = _cell(row, "t")
     if op == "f_ell":
         return f_ell(_cell(row, "ell"), _cell(row, "z")), ""

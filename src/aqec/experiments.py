@@ -15,7 +15,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -72,9 +72,9 @@ DEFAULT_SEED = 20240817
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """One typed experiment parameter with desk and optional full-scale defaults."""
+    """One experiment parameter with desk and optional full-scale defaults.  The
+    desk default's type is the parameter's: bool, int, float, str or a tuple."""
 
-    kind: str  # int | float | bool | str | int_list | float_list
     default: object
     full_default: object = None
 
@@ -93,26 +93,26 @@ class _Experiment:
     schema: dict  # parameter name -> ParamSpec
 
 
-def _coerce(kind: str, raw: str):
+def _coerce(example, raw: str):
+    """raw as a value of example's type; a tuple's items take example[0]'s."""
     raw = raw.strip()
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    if kind == "str":
-        return raw
-    if kind == "bool":
+    if isinstance(example, tuple):
+        return tuple(_coerce(example[0], x) for x in raw.split(",") if x.strip())
+    if isinstance(example, bool):
         low = raw.lower()
         if low in ("true", "1", "yes"):
             return True
         if low in ("false", "0", "no"):
             return False
         raise ValueError(f"not a boolean: {raw!r}")
-    if kind == "int_list":
-        return tuple(int(x) for x in raw.split(",") if x.strip())
-    if kind == "float_list":
-        return tuple(float(x) for x in raw.split(",") if x.strip())
-    raise ValueError(f"unknown parameter kind {kind!r}")
+    return type(example)(raw)
+
+
+def _fits(example, value) -> bool:
+    """Whether a JSON value has example's type; any number fits a float."""
+    if isinstance(example, tuple):
+        return isinstance(value, list) and all(_fits(example[0], v) for v in value)
+    return type(value) in ((int, float) if type(example) is float else (type(example),))
 
 
 # -- configuration ------------------------------------------------------------------
@@ -143,8 +143,8 @@ class ExperimentConfig:
             object.__setattr__(self, "out_dir", os.path.join("results", self.experiment))
 
 
-_COMMON_KINDS = {"experiment": "str", "seed": "int", "workers": "int",
-                 "out_dir": "str", "full_scale": "bool"}
+# the ExperimentConfig fields a config file sets, each with a value of its type
+_COMMON_EXAMPLES = {"seed": DEFAULT_SEED, "workers": 1, "out_dir": "", "full_scale": False}
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -169,11 +169,11 @@ def parse_config(path) -> ExperimentConfig:
     common = {}
     params = {}
     for key, raw in pairs.items():
-        if key in _COMMON_KINDS:
-            common[key] = _coerce(_COMMON_KINDS[key], raw)
+        if key in _COMMON_EXAMPLES:
+            common[key] = _coerce(_COMMON_EXAMPLES[key], raw)
         else:
             # unknown keys pass through raw; ExperimentConfig rejects them
-            params[key] = _coerce(schema[key].kind, raw) if key in schema else raw
+            params[key] = _coerce(schema[key].default, raw) if key in schema else raw
     return ExperimentConfig(experiment=experiment, params=params, **common)
 
 
@@ -214,13 +214,29 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
+class _Missing(Exception):
+    """A verifier read a table or column that the run lacks; args: (check, detail)."""
+
+
+class _Strict(dict):
+    """A dict whose missing key raises _Missing(check.format(key), detail)."""
+
+    def __init__(self, items, check: str, detail: str):
+        super().__init__(items)
+        self.check, self.detail = check, detail
+
+    def __missing__(self, key):
+        raise _Missing(self.check.format(key), self.detail)
+
+
 def _read_csv(path) -> dict:
-    """Columns keyed by header name; true/false columns become bool arrays and
-    numeric columns float arrays."""
+    """Columns by header name, true/false ones as bool arrays and numeric ones
+    as float arrays; ValueError for a row of the wrong width or any other cell."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    cells = [ln.split(",") for ln in lines[1:]]
+        header, *cells = [ln.rstrip("\n").split(",") for ln in fh if ln.strip()] or [[]]
+    widths = {len(row) for row in cells} - {len(header)}
+    if widths:
+        raise ValueError(f"{path}: a row has {widths.pop()} cells, the header {len(header)}")
     out = {}
     for j, name in enumerate(header):
         col = [row[j] for row in cells]
@@ -230,19 +246,14 @@ def _read_csv(path) -> dict:
         try:
             out[name] = np.array([float(x) for x in col])
         except ValueError:
-            out[name] = np.array(col)
-    return out
-
-
-def _json_params(params: dict) -> dict:
-    """params as the manifest stores them: tuples written as lists."""
-    return {k: (list(v) if isinstance(v, tuple) else v) for k, v in params.items()}
+            raise ValueError(f"{path}: column {name!r} is neither numeric nor "
+                             f"true/false") from None
+    return _Strict(out, f"table:{os.path.basename(path)}:{{}}", "column not in the file")
 
 
 def _params_sha256(params: dict) -> str:
-    """sha256 of the canonical params: sorted-key JSON of _json_params."""
-    text = json.dumps(_json_params(params), sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
+    """sha256 of the canonical params: sorted-key JSON, tuples as lists."""
+    return hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -258,19 +269,8 @@ class ResultManifest:
     params_sha256: str = None  # _params_sha256 at run time; absent in older manifests
 
     def save(self, path) -> None:
-        body = {
-            "experiment": self.experiment,
-            "params": _json_params(self.params),
-            "params_sha256": self.params_sha256,
-            "seed": self.seed,
-            "workers": self.workers,
-            "full_scale": self.full_scale,
-            "version": self.version,
-            "files": self.files,
-            "wall_clock_s": self.wall_clock_s,
-        }
         with open(path, "w", newline="\n") as fh:
-            json.dump(body, fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)  # tuples as lists
             fh.write("\n")
 
     @staticmethod
@@ -291,9 +291,13 @@ class ResultManifest:
         params = body["params"]
         if not isinstance(params, dict):
             raise ValueError(f"{path}: manifest params are not a JSON object")
-        missing = [k for k in EXPERIMENTS[body["experiment"]].schema if k not in params]
+        schema = EXPERIMENTS[body["experiment"]].schema
+        missing = [k for k in schema if k not in params]
         if missing:
             raise ValueError(f"{path}: manifest params lack key(s) {', '.join(missing)}")
+        wrong = [k for k, spec in schema.items() if not _fits(spec.default, params[k])]
+        if wrong:
+            raise ValueError(f"{path}: manifest params of the wrong type: {', '.join(wrong)}")
         digest = body.get("params_sha256")
         if digest is not None and not isinstance(digest, str):
             raise ValueError(f"{path}: manifest params_sha256 is not a string")
@@ -752,96 +756,79 @@ def _verify_appH(tables, params):
 # -- registry ----------------------------------------------------------------------
 # One entry per experiment id: config parsing, run() and verify() all read it.
 
-EXPERIMENTS = {
-    "fig2": _Experiment(_run_fig2, _verify_fig2, {
-        "r0": ParamSpec("float", 1.0),
-        "kappa": ParamSpec("float", 1.0),
-        "r_values": ParamSpec("float_list", (0.005, 0.01, 0.02)),
-        "ell_max": ParamSpec("int", 100),
-        "r_grid_points": ParamSpec("int", 24),
-    }),
-    "fig3": _Experiment(_run_fig3, _verify_fig3, {
-        "ell": ParamSpec("int", 6),
-        "kappa": ParamSpec("float", 1.0),
-        "delta": ParamSpec("float", 1.0),
-        "n_channels": ParamSpec("int", 1),
-        "t_values": ParamSpec("float_list", (1.0, 2.5, 4.0, 5.5, 7.0, 8.5, 10.0, 11.5)),
-        "samples": ParamSpec("int", 200_000, 2_000_000),
-    }),
-    "fig4a": _Experiment(_run_fig4a, _verify_fig4a, {
-        "l_values": ParamSpec("int_list", (3, 4), (3, 4, 6, 8)),
-        "delta": ParamSpec("float", 1.0),
-        "tau_values": ParamSpec(
-            "float_list", (0.06, 0.08, 0.10, 0.115, 0.13, 0.16, 0.20, 0.30)),
-        "samples": ParamSpec("int", 10_000, 100_000),
-    }),
-    "fig4b": _Experiment(_run_fig4b, _verify_fig4b, {
-        "side": ParamSpec("int", 4, 8),
-        "kappa": ParamSpec("float", 0.0),
-        "delta": ParamSpec("float", 1.0),
-        "t_values": ParamSpec("float_list", (0.05, 0.1, 0.2)),
-        "m_values": ParamSpec("int_list", (2, 4, 8)),
-        "samples": ParamSpec("int", 20_000, 200_000),
-    }),
-    "fig5a": _Experiment(_run_fig5a, _verify_fig5a, {
-        "kappa": ParamSpec("float", 1.0),
-        "delta": ParamSpec("float", 1.0 / 15.0),
-        "t_values": ParamSpec("float_list", (
-            0.01, 0.0167, 0.0278, 0.0464, 0.0774, 0.129, 0.215, 0.359, 0.599,
-            1.0, 1.5, 2.714, 3.929, 5.143, 6.357, 7.571, 8.786, 10.0)),
-        "mc_samples": ParamSpec("int", 20_000, 100_000),
-    }),
-    "fig5b": _Experiment(_run_fig5b, _verify_fig5b, {
-        "l_values": ParamSpec("int_list", (4, 6, 8)),
-        "kappa_per_qubit": ParamSpec("float", 0.1),
-        "h_fraction": ParamSpec("float", 0.1031),
-        "delta": ParamSpec("float", 1.0),
-        "xi": ParamSpec("float", 0.0),
-        "t_min": ParamSpec("float", 1e-3),
-        "t_max": ParamSpec("float", 10.0),
-        "t_points": ParamSpec("int", 25),
-    }),
-    "fig6": _Experiment(_run_fig6, _verify_fig6, {
-        "ell_values": ParamSpec("int_list", (1, 2), (1, 2, 3)),
-        "kappa": ParamSpec("float", 1.0),
-        "delta_values": ParamSpec("float_list", (0.0005, 0.001, 0.002)),
-        "t_max": ParamSpec("float", 15.0),
-        "t_points": ParamSpec("int", 16),
-        "fit_start": ParamSpec("float", 5.0),
-    }),
-    "figE7": _Experiment(_run_figE7, _verify_figE7, {
-        "n_values": ParamSpec(
-            "int_list", (1000, 3162, 10_000, 31_623, 100_000),
-            (1000, 3162, 10_000, 31_623, 100_000, 316_228, 1_000_000,
-             3_162_278, 10_000_000)),
-        "kd_values": ParamSpec("float_list", (2.0, 4.0, 8.0)),
-        "h_fraction": ParamSpec("float", 0.4),
-    }),
-    "figE8": _Experiment(_run_figE8, _verify_figE8, {
-        "n_values": ParamSpec(
-            "int_list", (1000, 3162, 10_000, 31_623, 100_000),
-            (1000, 3162, 10_000, 31_623, 100_000, 316_228, 1_000_000,
-             3_162_278, 10_000_000)),
-        "kd_values": ParamSpec("float_list", (2.0, 4.0, 8.0)),
-        "h_fraction": ParamSpec("float", 0.5),
-    }),
-    "appH": _Experiment(_run_appH, _verify_appH, {
-        "l_values": ParamSpec("int_list", (3, 5, 7)),
-        "kappa": ParamSpec("float", 1.0),
-        "delta": ParamSpec("float", 0.01),
-    }),
+_RATIO_SCHEMA = {  # figE7 and figE8 differ only in h_fraction
+    "n_values": ParamSpec(
+        (1000, 3162, 10_000, 31_623, 100_000),
+        (1000, 3162, 10_000, 31_623, 100_000, 316_228, 1_000_000, 3_162_278, 10_000_000)),
+    "kd_values": ParamSpec((2.0, 4.0, 8.0)),
 }
 
-
-class _UnlistedTable(Exception):
-    """A verifier read a table that the manifest does not list."""
-
-
-class _Tables(dict):
-    """Checksummed tables by file name; reading any other name raises _UnlistedTable."""
-
-    def __missing__(self, name):
-        raise _UnlistedTable(name)
+EXPERIMENTS = {
+    "fig2": _Experiment(_run_fig2, _verify_fig2, {
+        "r0": ParamSpec(1.0),
+        "kappa": ParamSpec(1.0),
+        "r_values": ParamSpec((0.005, 0.01, 0.02)),
+        "ell_max": ParamSpec(100),
+        "r_grid_points": ParamSpec(24),
+    }),
+    "fig3": _Experiment(_run_fig3, _verify_fig3, {
+        "ell": ParamSpec(6),
+        "kappa": ParamSpec(1.0),
+        "delta": ParamSpec(1.0),
+        "n_channels": ParamSpec(1),
+        "t_values": ParamSpec((1.0, 2.5, 4.0, 5.5, 7.0, 8.5, 10.0, 11.5)),
+        "samples": ParamSpec(200_000, 2_000_000),
+    }),
+    "fig4a": _Experiment(_run_fig4a, _verify_fig4a, {
+        "l_values": ParamSpec((3, 4), (3, 4, 6, 8)),
+        "delta": ParamSpec(1.0),
+        "tau_values": ParamSpec((0.06, 0.08, 0.10, 0.115, 0.13, 0.16, 0.20, 0.30)),
+        "samples": ParamSpec(10_000, 100_000),
+    }),
+    "fig4b": _Experiment(_run_fig4b, _verify_fig4b, {
+        "side": ParamSpec(4, 8),
+        "kappa": ParamSpec(0.0),
+        "delta": ParamSpec(1.0),
+        "t_values": ParamSpec((0.05, 0.1, 0.2)),
+        "m_values": ParamSpec((2, 4, 8)),
+        "samples": ParamSpec(20_000, 200_000),
+    }),
+    "fig5a": _Experiment(_run_fig5a, _verify_fig5a, {
+        "kappa": ParamSpec(1.0),
+        "delta": ParamSpec(1.0 / 15.0),
+        "t_values": ParamSpec((
+            0.01, 0.0167, 0.0278, 0.0464, 0.0774, 0.129, 0.215, 0.359, 0.599,
+            1.0, 1.5, 2.714, 3.929, 5.143, 6.357, 7.571, 8.786, 10.0)),
+        "mc_samples": ParamSpec(20_000, 100_000),
+    }),
+    "fig5b": _Experiment(_run_fig5b, _verify_fig5b, {
+        "l_values": ParamSpec((4, 6, 8)),
+        "kappa_per_qubit": ParamSpec(0.1),
+        "h_fraction": ParamSpec(0.1031),
+        "delta": ParamSpec(1.0),
+        "xi": ParamSpec(0.0),
+        "t_min": ParamSpec(1e-3),
+        "t_max": ParamSpec(10.0),
+        "t_points": ParamSpec(25),
+    }),
+    "fig6": _Experiment(_run_fig6, _verify_fig6, {
+        "ell_values": ParamSpec((1, 2), (1, 2, 3)),
+        "kappa": ParamSpec(1.0),
+        "delta_values": ParamSpec((0.0005, 0.001, 0.002)),
+        "t_max": ParamSpec(15.0),
+        "t_points": ParamSpec(16),
+        "fit_start": ParamSpec(5.0),
+    }),
+    "figE7": _Experiment(_run_figE7, _verify_figE7,
+                         {**_RATIO_SCHEMA, "h_fraction": ParamSpec(0.4)}),
+    "figE8": _Experiment(_run_figE8, _verify_figE8,
+                         {**_RATIO_SCHEMA, "h_fraction": ParamSpec(0.5)}),
+    "appH": _Experiment(_run_appH, _verify_appH, {
+        "l_values": ParamSpec((3, 5, 7)),
+        "kappa": ParamSpec(1.0),
+        "delta": ParamSpec(0.01),
+    }),
+}
 
 
 def verify(manifest_path) -> VerifyReport:
@@ -849,7 +836,7 @@ def verify(manifest_path) -> VerifyReport:
     manifest = ResultManifest.load(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
     checks = []
-    tables = _Tables()
+    tables = _Strict({}, "table:{}", "needed but not listed in the manifest")
     intact = True
     if manifest.params_sha256 is not None:
         intact = _params_sha256(manifest.params) == manifest.params_sha256
@@ -869,8 +856,9 @@ def verify(manifest_path) -> VerifyReport:
     if intact:
         try:
             checks.extend(EXPERIMENTS[manifest.experiment].verifier(tables, manifest.params))
-        except _UnlistedTable as exc:
-            checks.append((f"table:{exc}", False, "needed but not listed in the manifest"))
+        except _Missing as exc:
+            name, detail = exc.args
+            checks.append((name, False, detail))
     else:
         checks.append(("assertions", False, "skipped: checksum failures above"))
     return VerifyReport(checks=tuple(checks))

@@ -33,7 +33,6 @@ order, so results are bit-identical for any worker count.
 from __future__ import annotations
 
 import hashlib
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -42,7 +41,14 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import gammainc
 
-from .bounds import _first_run_cdf, _first_run_sizes, _poisson_weights, _require_table_size
+from .bounds import (
+    _first_run_cdf,
+    _first_run_sizes,
+    _poisson_weights,
+    _require_count,
+    _require_finite,
+    _require_table_size,
+)
 from .decoders import Decoder
 from .paulis import PauliOperator, StabilizerCode, anticommutation_bits
 
@@ -65,8 +71,6 @@ CHAIN_MAX_STATES = 4096  # largest phi space frame_chain_rates exponentiates
 # numpy's largest Poisson mean; a row's event count is Poisson(gamma * horizon)
 POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
-_FAMILIES = ("Z", "X", "Y")  # initial-state families for the epsilon estimator
-
 
 @dataclass(frozen=True)
 class PoissonParams:
@@ -77,10 +81,8 @@ class PoissonParams:
     n_channels: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.kappa) and math.isfinite(self.delta)):
-            raise ValueError("rates must be finite")
-        if self.kappa < 0 or self.delta < 0:
-            raise ValueError("rates must be nonnegative")
+        _require_finite("kappa", self.kappa)
+        _require_finite("delta", self.delta)
         _require_count("n_channels", self.n_channels)
 
     @property
@@ -141,12 +143,6 @@ class NoiseModel:
     @staticmethod
     def dephasing(n: int) -> "NoiseModel":
         return NoiseModel("dephasing", n, tuple(PauliOperator.single(n, q, "Z") for q in range(n)))
-
-
-def _require_count(name: str, v) -> None:
-    """Raise unless v is a nonnegative integer; integral floats such as 15.0 pass."""
-    if not (v >= 0 and float(v).is_integer()):  # a NaN fails the comparison
-        raise ValueError(f"{name} must be a nonnegative integer")
 
 
 def shard_rng(root_seed: int, tag: str, shard: int) -> np.random.Generator:
@@ -354,8 +350,7 @@ def _sample_count(n_samples) -> int:
     floats such as 10.0 pass)."""
     if not n_samples > 0:  # a NaN fails the comparison
         raise ValueError("n_samples must be positive")
-    _require_count("n_samples", n_samples)
-    return int(n_samples)
+    return _require_count("n_samples", n_samples)
 
 
 def _chunks(n: int, size: int) -> list:
@@ -463,8 +458,7 @@ def estimate_alpha(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     the joint Z-basis codeword; single-logical marginals are available from
     ``per_family`` of estimate_epsilon if needed.
     """
-    if not 0 <= tau < math.inf:  # a NaN fails the comparison
-        raise ValueError(f"tau must be finite and nonnegative, got {tau}")
+    _require_finite("tau", tau)
     n_samples = _sample_count(n_samples)
     params = PoissonParams(kappa=0.0, delta=delta, n_channels=noise.n_channels)
     _require_drawable(params.gamma, tau)
@@ -517,9 +511,8 @@ def check_assumption2(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     so the comparison noise is the variance of the per-sample difference.
     holds = lhs <= rhs + 3 sigma_diff.
     """
-    _require_count("m", m)
-    if not 0 <= t < math.inf:  # a NaN fails the comparison
-        raise ValueError(f"t must be finite and nonnegative, got {t}")
+    m = _require_count("m", m)
+    _require_finite("t", t)
     n_samples = _sample_count(n_samples)
     if m == 0:
         return Assumption2Result(1.0, 1.0, 0.0, True, n_samples)
@@ -586,7 +579,7 @@ def estimate_faithful_violation(ell: int, params: PoissonParams, times,
     of events.  The tables hold at most bounds.FIRST_RUN_CAP entries;
     parameters that need more raise ValueError.
     """
-    _require_count("ell", ell)
+    ell = _require_count("ell", ell)
     times = readout_times(times)
     n_samples = _sample_count(n_samples)
     horizon = float(times[-1])

@@ -378,7 +378,7 @@ def test_p_exact_quadrature_rejects_fractional_ell():
     with pytest.raises(ValueError, match="ell must be a nonnegative integer"):
         p_exact_quadrature(BoundInputs(ell=2.5, **rates), 1.0)
     for t in (-1.0, math.nan, [2.0, math.nan]):
-        with pytest.raises(ValueError, match="t must be nonnegative"):
+        with pytest.raises(ValueError, match="t must be finite and nonnegative"):
             p_exact_quadrature(BoundInputs(ell=2, **rates), t)
     assert p_exact_quadrature(BoundInputs(ell=2.0, **rates), 1.0) \
         == p_exact_quadrature(BoundInputs(ell=2, **rates), 1.0)
@@ -401,6 +401,15 @@ def test_p_exact_quadrature_is_a_probability_at_late_times():
     assert p_exact_quadrature(bi0, 1e3) == pytest.approx(-math.expm1(-0.1), rel=1e-10)
 
 
+@pytest.mark.parametrize("t", [1e3, 1e4, 1e5, 1e6])
+def test_p_exact_quadrature_first_error_at_large_event_counts(t):
+    # ell = 0 with N Delta t = 0.1 among ~t recoveries: the Poisson weights
+    # share the rounding error of ln(gamma t); summed unscaled they were off
+    # by up to 9.7e-10 relative at t = 1e6
+    bi = BoundInputs(ell=0, kappa=1.0, delta=0.1 / t, n_channels=1)
+    assert p_exact_quadrature(bi, t) == pytest.approx(-math.expm1(-0.1), rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize("t", [-1.0, math.nan, None, [2.0, -0.5]])
 def test_evaluators_reject_bad_times(t):
     bi = BoundInputs(ell=2, h=2, xi=0.1, chi=1.0, kappa=1.0, delta=0.5,
@@ -409,7 +418,7 @@ def test_evaluators_reject_bad_times(t):
              p_asymptotic, p_exact_quadrature,
              lambda _, t: theorem5_lower(0.5, 1.0, 1.0, t)]
     for call in calls:
-        with pytest.raises(ValueError, match="t must be nonnegative"):
+        with pytest.raises(ValueError, match="t must be finite and nonnegative"):
             call(bi, t)
 
 
@@ -574,6 +583,10 @@ def test_toric_perturbative_values():
         toric_perturbative(4, 1.0, 0.1, "2D")
     with pytest.raises(ValueError):
         toric_perturbative(3, 1.0, 0.1, "3D")
+    # an integral float side reads as its integer, as ell and h do in BoundInputs
+    assert toric_perturbative(3.0, 2.0, 0.1, "2D") == toric_perturbative(3, 2.0, 0.1, "2D")
+    with pytest.raises(ValueError, match="side must be a nonnegative integer"):
+        toric_perturbative(3.5, 2.0, 0.1, "2D")
 
 
 def test_toric_perturbative_thermodynamic_decay():

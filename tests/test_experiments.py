@@ -8,11 +8,14 @@ import pytest
 
 from aqec import cli
 from aqec.experiments import (
+    EXPERIMENTS,
     ExperimentConfig,
     ResultManifest,
+    _coerce,
     _derive_seed,
     _params_sha256,
     _read_csv,
+    _sha256,
     binomial_error_set,
     fig6_cutoff,
     parse_config,
@@ -72,6 +75,40 @@ def test_parse_config_rejects_duplicate_and_missing(tmp_path):
         parse_config(_write(tmp_path / "c.cfg", "experiment = fig99\n"))
 
 
+def test_parse_config_coerces_each_type(tmp_path):
+    cfg = parse_config(_write(tmp_path / "c.cfg", """
+        experiment = fig4a
+        full_scale = yes
+        out_dir = there
+        samples = 300
+        delta = 2
+        l_values = 3, 5
+        tau_values = 0.1, 1
+    """))
+    got = {k: cfg.params[k] for k in ("samples", "delta", "l_values", "tau_values")}
+    assert (cfg.full_scale, cfg.out_dir) == (True, "there")
+    assert got == {"samples": 300, "delta": 2.0, "l_values": (3, 5), "tau_values": (0.1, 1.0)}
+    assert [type(v) for v in (cfg.full_scale, cfg.out_dir, got["samples"], got["delta"])] \
+        == [bool, str, int, float]
+    assert [type(v) for v in got["l_values"] + got["tau_values"]] == [int, int, float, float]
+    assert _coerce(True, " No ") is False
+    for example, raw in ((True, "maybe"), (1, "2.5"), (1.0, "abc"), ((1,), "1, 2.5")):
+        with pytest.raises(ValueError):
+            _coerce(example, raw)
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_default_config_parses_back_to_defaults(tmp_path, experiment):
+    defaults = ExperimentConfig(experiment=experiment).params
+    lines = [f"experiment = {experiment}"]
+    for key, value in defaults.items():
+        items = value if isinstance(value, tuple) else (value,)
+        lines.append(f"{key} = " + ", ".join(repr(v) for v in items))
+    params = parse_config(_write(tmp_path / "c.cfg", "\n".join(lines) + "\n")).params
+    assert params == defaults
+    assert [repr(v) for v in params.values()] == [repr(v) for v in defaults.values()]
+
+
 def test_full_scale_switches_defaults():
     desk = ExperimentConfig(experiment="figE7")
     full = ExperimentConfig(experiment="figE7", full_scale=True)
@@ -120,6 +157,16 @@ def test_run_writes_manifest_and_verify_passes(tmp_path):
     assert report.ok
     assert any(name.startswith("checksum:") for name, _, _ in report.checks)
     assert all(line.startswith("PASS") for line in report.lines())
+
+
+def test_manifest_save_load_save_is_byte_identical(tmp_path):
+    cfg = ExperimentConfig(experiment="fig4b", out_dir=str(tmp_path / "f4b"),
+                           params={"t_values": (0.05,), "m_values": (2,), "samples": 200})
+    run(cfg)
+    first = tmp_path / "f4b" / "manifest.json"
+    again = tmp_path / "again.json"
+    ResultManifest.load(str(first)).save(str(again))
+    assert again.read_bytes() == first.read_bytes()
 
 
 def test_verify_checks_params_checksum(tmp_path):
@@ -207,10 +254,12 @@ def test_desk_checksums_pinned(tmp_path, experiment):
 def test_read_csv_parses_true_false_columns(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("x,holds,label\n1,true,a\n2,false,b\n")
+    with pytest.raises(ValueError, match="column 'label' is neither numeric nor true/false"):
+        _read_csv(str(path))
+    path.write_text("x,holds\n1,true\n2,false\n")
     cols = _read_csv(str(path))
     assert cols["x"].tolist() == [1.0, 2.0]
     assert cols["holds"].tolist() == [True, False]
-    assert cols["label"].tolist() == ["a", "b"]
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -438,6 +487,74 @@ def test_cli_verify_unlisted_table_exits_2(tmp_path, capsys):
     assert "Traceback" not in out
 
 
+def _rewrite_table(run_dir, name, edit):
+    """Apply edit to a run's CSV text, then write the new sha256 into its manifest,
+    so verify passes the checksums and reads the edited table."""
+    table = run_dir / name
+    table.write_text(edit(table.read_text()))
+    manifest = run_dir / "manifest.json"
+    body = json.loads(manifest.read_text())
+    body["files"][name] = _sha256(str(table))
+    manifest.write_text(json.dumps(body))
+    return str(manifest)
+
+
+def test_cli_verify_missing_column_exits_2(tmp_path, capsys):
+    run(ExperimentConfig(experiment="fig2", out_dir=str(tmp_path / "f2")))
+    manifest = _rewrite_table(tmp_path / "f2", "fig2_minima.csv",
+                              lambda text: text.replace("x,y,", "x,yy,", 1))
+    assert cli.main(["verify", manifest]) == 2
+    captured = capsys.readouterr()
+    assert "FAIL table:fig2_minima.csv:y: column not in the file" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_verify_short_row_exits_1(tmp_path, capsys):
+    run(ExperimentConfig(experiment="figE7", out_dir=str(tmp_path / "e7")))
+    manifest = _rewrite_table(tmp_path / "e7", "figE7_saturated.csv",
+                              lambda text: text.rstrip("\n").rsplit(",", 1)[0] + "\n")
+    assert cli.main(["verify", manifest]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "cells" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_verify_non_numeric_cell_exits_1(tmp_path, capsys):
+    run(ExperimentConfig(experiment="figE7", out_dir=str(tmp_path / "e7")))
+    manifest = _rewrite_table(tmp_path / "e7", "figE7_saturated.csv",
+                              lambda text: text.replace("\n2,", "\nabc,", 1))
+    assert cli.main(["verify", manifest]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "column 'x'" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_verify_mistyped_param_exits_1(tmp_path, capsys):
+    run(ExperimentConfig(experiment="figE7", out_dir=str(tmp_path / "e7")))
+    manifest = tmp_path / "e7" / "manifest.json"
+    body = json.loads(manifest.read_text())
+    del body["params_sha256"]
+    body["params"]["h_fraction"] = "abc"
+    manifest.write_text(json.dumps(body))
+    assert cli.main(["verify", str(manifest)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "h_fraction" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_manifest_params_types_follow_the_schema(tmp_path):
+    body = dict(_MANIFEST_BODY, experiment="figE7",
+                params={"n_values": [1000], "kd_values": [2, 4.5], "h_fraction": 0})
+    path = _write(tmp_path / "ok.json", json.dumps(body))
+    assert ResultManifest.load(path).params["kd_values"] == [2, 4.5]
+    for key, bad in (("n_values", [1000.0]), ("n_values", 1000), ("kd_values", [True]),
+                     ("h_fraction", None), ("h_fraction", [0.4])):
+        params = dict(body["params"], **{key: bad})
+        path = _write(tmp_path / "bad.json", json.dumps(dict(body, params=params)))
+        with pytest.raises(ValueError, match=f"wrong type: {key}"):
+            ResultManifest.load(path)
+
+
 def test_cli_recurrence_output(capsys):
     assert cli.main(["recurrence", "--h", "1", "--n", "2", "--p1", "0.6"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -470,7 +587,34 @@ def test_cli_bounds_bad_time_exits_1(tmp_path, capsys, t):
                   "op,ell,h,xi,kappa,delta,n_channels,t\n"
                   f"theorem2,,6,0.0,1.0,1.0,1,{t}\n")
     assert cli.main(["bounds", "--grid", grid]) == 1
-    assert capsys.readouterr().err.startswith("error: t must be nonnegative")
+    assert capsys.readouterr().err.startswith("error: t must be finite and nonnegative")
+
+
+_FINITE_CELL_ROWS = {  # op: (header, row with {} in the cell that goes bad)
+    "theorem1": ("ell,chi,kappa,delta,l_e_norm,t", "2,1.0,1.0,{},1.0,1.0"),
+    "theorem2": ("h,xi,kappa,delta,n_channels,t", "6,0.0,{},1.0,1,1.0"),
+    "theorem3": ("h,xi,kappa,delta,n_channels,t", "3,{},1.0,0.001,1000,1.0"),
+    "theorem4": ("ell,kappa,delta,n_channels,t", "2,1.0,{},1,1.0"),
+    "delta_eff": ("ell,kappa,delta,n_channels", "6,{},1.0,1"),
+    "theorem5_lower": ("a,tau_c,kappa,t", "0.5,{},1.0,1.0"),
+    "toric_perturbative": ("side,kappa,delta,dims", "3,1.0,{},1D"),
+    "f_ell": ("ell,z", "2,{}"),
+    "p_exact_quadrature": ("ell,kappa,delta,n_channels,t", "2,1.0,{},1,1.0"),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("op", sorted(_FINITE_CELL_ROWS))
+def test_cli_bounds_nonfinite_cell_exits_1(tmp_path, capsys, op, value):
+    header, row = _FINITE_CELL_ROWS[op]
+    good = _write(tmp_path / "good.csv", f"op,{header}\n{op},{row.format('0.5')}\n")
+    assert cli.main(["bounds", "--grid", good]) == 0
+    capsys.readouterr()
+    grid = _write(tmp_path / "g.csv", f"op,{header}\n{op},{row.format(value)}\n")
+    assert cli.main(["bounds", "--grid", grid]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "must be finite and nonnegative" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_bounds_unknown_op_exits_1(tmp_path, capsys):

@@ -582,6 +582,16 @@ def test_params_reject_nonfinite_rates_and_fractional_channels(kappa, delta, n_c
     assert PoissonParams(1.0, 0.1, 15.0).gamma == pytest.approx(2.5)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["xi", "chi", "kappa", "delta", "l_e_norm", "r0"])
+def test_bound_inputs_reject_nonfinite_fields(name, value):
+    # delta_eff, the theorems and p_exact_quadrature used to return NaN, or
+    # leak an OverflowError, on such inputs
+    with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+        BoundInputs(**{name: value})
+    assert getattr(BoundInputs(**{name: 0.5}), name) == 0.5
+
+
 def test_estimators_reject_fractional_ell_and_m():
     code = five_qubit_code()
     noise = NoiseModel.depolarizing(5)
