@@ -68,6 +68,16 @@ def _require_finite(name: str, v) -> np.ndarray:
     return v
 
 
+def readout_times(times) -> np.ndarray:
+    """times as a float array; raises unless nonempty, finite, nondecreasing
+    and nonnegative.  The frame estimators and lindblad's integrator share it."""
+    times = np.asarray(times, dtype=float)
+    # phrased so that a NaN fails the comparisons
+    if not (len(times) and np.all(np.diff(times) >= 0) and 0 <= times[0] <= times[-1] < math.inf):
+        raise ValueError("times must be finite, nondecreasing and nonnegative")
+    return times
+
+
 @dataclass(frozen=True)
 class BoundInputs:
     """Shared parameter bag; each evaluator validates the fields it needs.
@@ -448,7 +458,8 @@ def toric_perturbative(side: int, kappa: float, delta: float, dims: str = "2D") 
     with j = (L-1)/2; the 2D torus carries an extra factor L.  The shift is
     real and negative; its magnitude estimates the logical rate.  Even sides
     are rejected in both geometries: at L = 4 in 2D the exact leading
-    coefficient is 48, not the formula's 192.
+    coefficient is 48, not the formula's 192.  The shift is computed in log
+    space; one beyond the float range raises ValueError.
     """
     side = _require_count("side", side)
     _require_finite("kappa", kappa)
@@ -462,9 +473,13 @@ def toric_perturbative(side: int, kappa: float, delta: float, dims: str = "2D") 
     if delta == 0:
         return 0.0
     j = (side - 1) // 2
-    shift = -2.0 * (math.factorial(side) / math.factorial(j)) \
-        * (delta / kappa) ** (j + 1) * kappa
-    return shift * side if dims == "2D" else shift
+    # in log space, as L!/j! and (delta/kappa)^(j+1) overflow floats first
+    ln_shift = math.log(2 * (side if dims == "2D" else 1)) + math.lgamma(side + 1) \
+        - math.lgamma(j + 1) + (j + 1) * math.log(delta) - j * math.log(kappa)
+    if ln_shift > math.log(np.finfo(float).max):
+        raise ValueError(f"the toric_perturbative shift at side {side}, kappa {kappa} "
+                         f"and delta {delta} is out of the float range")
+    return -math.exp(ln_shift)
 
 
 @dataclass(frozen=True)

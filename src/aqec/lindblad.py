@@ -17,8 +17,8 @@ from math import comb, sqrt
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .bounds import _require_finite, readout_times
 from .paulis import PauliOperator, StabilizerCode
-from .trajectories import readout_times
 
 __all__ = [
     "Superoperator",
@@ -83,10 +83,8 @@ class Superoperator:
     def __post_init__(self):
         jumps = tuple((np.asarray(op, dtype=complex), float(r)) for op, r in self.jumps)
         recoveries = tuple((ch, float(k)) for ch, k in self.recoveries)
-        if any(r < 0 for _, r in jumps):
-            raise ValueError("rates must be nonnegative")
-        if any(k < 0 for _, k in recoveries):
-            raise ValueError("kappa must be nonnegative")
+        _require_finite("rates", [r for _, r in jumps])
+        _require_finite("kappa", [k for _, k in recoveries])
         if any(op.shape != (self.dim, self.dim) for op, _ in jumps):
             raise ValueError("jump operators must share a square dimension")
         if any(ch.dim != self.dim for ch, _ in recoveries):

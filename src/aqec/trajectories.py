@@ -7,14 +7,15 @@ always (Pauli frame) x (codeword), so trajectories are simulated on the
 frame's syndrome and logical parity, and recoveries reduce to syndrome
 decoding.
 
-Every frame estimator draws a shard's samples in blocks of rows (_draw_block:
+Every frame estimator draws a shard's samples in blocks of rows (_blocks:
 per row a Poisson count, then uniform times and uniform labels, padded into
 one array per block; at most FRAME_BLOCK rows and about BLOCK_EVENTS events)
 and walks each block with one frame walk (_FrameEngine.walk_block) that steps
 through the event columns of all rows at once and reads the logical class out
 at given times.  The walk carries each frame only as phi = (syndrome, logical
 parity), one int that each error event XORs, and decodes once per distinct
-syndrome per shard.
+syndrome per shard.  A forced recovery, such as Assumption 2's recovery at
+every j*t, is one more label-0 event merged into the block.
 
 The run-length violation sampler (estimate_faithful_violation) draws no
 event sequence.  A trajectory violates by t iff the label completing its
@@ -48,6 +49,7 @@ from .bounds import (
     _require_count,
     _require_finite,
     _require_table_size,
+    readout_times,
 )
 from .decoders import Decoder
 from .paulis import PauliOperator, StabilizerCode, anticommutation_bits
@@ -113,6 +115,7 @@ class NoiseModel:
             object.__setattr__(self, "weights", (1.0,) * len(self.jumps))
         if len(self.weights) != len(self.jumps):
             raise ValueError("one weight per jump")
+        _require_finite("weights", self.weights)
         if any(w <= 0 for w in self.weights):
             raise ValueError("weights must be positive")
         # lambda_mu convention: weights sum to the channel count, so delta is
@@ -151,15 +154,19 @@ def shard_rng(root_seed: int, tag: str, shard: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int.from_bytes(key, "little")))
 
 
-def _label_thresholds(params: PoissonParams, noise: NoiseModel) -> np.ndarray:
-    """Cumulative label probabilities [p0, p0+p_1, ..., 1]; None when gamma = 0."""
+def _label_rates(params: PoissonParams, noise: NoiseModel) -> np.ndarray:
+    """Rate of each event label: [kappa, delta * w_1, ..., delta * w_N]."""
     if noise.n_channels != params.n_channels:
         raise ValueError("noise model and params disagree on channel count")
-    w = np.asarray(noise.weights, dtype=float)
+    return np.concatenate(([params.kappa], np.asarray(noise.weights, dtype=float) * params.delta))
+
+
+def _label_thresholds(params: PoissonParams, noise: NoiseModel) -> np.ndarray:
+    """Cumulative label probabilities [p0, p0+p_1, ..., 1]; None when gamma = 0."""
+    rates = _label_rates(params, noise)
     if params.gamma == 0:
         return None  # no event is ever drawn, and 0/0 thresholds would be NaN
-    probs = np.concatenate(([params.kappa], w * params.delta))
-    cum = np.cumsum(probs) / probs.sum()
+    cum = np.cumsum(rates) / rates.sum()
     cum[-1] = 1.0  # guard against float shortfall mapping a draw out of range
     return cum
 
@@ -208,6 +215,25 @@ def _block_rows(gamma: float, horizon: float) -> int:
     return max(1, min(FRAME_BLOCK, int(BLOCK_EVENTS // max(gamma * horizon, 1.0))))
 
 
+def _blocks(rng: np.random.Generator, n_samples: int, params: PoissonParams,
+            noise: NoiseModel, horizon: float):
+    """The (times, labels) blocks of n_samples trajectories on [0, horizon];
+    draws are sequential, so splitting a shard into blocks changes no output."""
+    cum = _label_thresholds(params, noise)
+    for rows in _chunks(n_samples, _block_rows(params.gamma, horizon)):
+        yield _draw_block(rng, rows, params.gamma, horizon, cum)
+
+
+def _with_recoveries(ev_t: np.ndarray, ev_l: np.ndarray, times) -> tuple:
+    """The block with a recovery (label 0) added to every row at each of
+    times; a stable sort puts it after the row's events at that time."""
+    rows, extra = len(ev_l), len(times)
+    ev_t = np.concatenate((ev_t, np.broadcast_to(times, (rows, extra))), axis=1)
+    ev_l = np.concatenate((ev_l, np.zeros((rows, extra), dtype=ev_l.dtype)), axis=1)
+    order = np.argsort(ev_t, axis=1, kind="stable")
+    return np.take_along_axis(ev_t, order, 1), np.take_along_axis(ev_l, order, 1)
+
+
 # -- frame Monte Carlo core ---------------------------------------------------
 
 
@@ -237,87 +263,65 @@ class _FrameEngine:
         self._label_phi = np.array([0, *self.jump_phi, 0], dtype=self.dtype)
         self._memo = {}  # syndrome -> phi of its correction; one per shard
 
-    def _correction_phi(self, s: int) -> int:
-        """phi of the decoder's correction for syndrome s, memoized.
-
-        The correction's syndrome is s by the decoder contract, so only its
-        logical parity is computed.
-        """
-        c = self.decoder.correction(s)
-        phi = self._memo[s] = s | anticommutation_bits(self.logicals, c) << self.r
-        return phi
-
     def _recover(self, phi: np.ndarray) -> np.ndarray:
         """phi after one recovery: each entry XORs its syndrome's correction phi.
 
         Each distinct syndrome is looked up once, and decoded only if no
-        earlier walk of this engine decoded it.
+        earlier walk of this engine decoded it.  A correction has the syndrome
+        it corrects, so only its logical parity is computed.
         """
         syndromes, inverse = np.unique(phi & ((1 << self.r) - 1), return_inverse=True)
-        memo, miss = self._memo, self._correction_phi
-        corr = [memo[s] if s in memo else miss(s) for s in syndromes.tolist()]
-        return phi ^ np.array(corr, dtype=self.dtype)[inverse.reshape(phi.shape)]
+        syndromes, memo = syndromes.tolist(), self._memo
+        for s in syndromes:
+            if s not in memo:
+                c = self.decoder.correction(s)
+                memo[s] = s | anticommutation_bits(self.logicals, c) << self.r
+        corr = np.array([memo[s] for s in syndromes], dtype=self.dtype)
+        return phi ^ corr[inverse.reshape(phi.shape)]
 
-    def walk_block(self, ev_t: np.ndarray, ev_l: np.ndarray, readouts,
-                   commit: bool) -> tuple:
-        """Logical classes (x, z) of a block of event draws, each an int64
-        array of shape (rows, len(readouts)).
+    def classes(self, phi: np.ndarray) -> tuple:
+        """Logical classes (x, z) of phi, int64 bitmasks over the k logicals."""
+        return (((phi >> self.r) & ((1 << self.k) - 1)).astype(np.int64),
+                (phi >> (self.r + self.k)).astype(np.int64))
 
-        An error event XORs the jump's phi into the frame's.  A recovery
-        multiplies the frame by the correction of its syndrome, i.e. XORs the
-        correction's phi; the syndrome bits clear and the logical bits keep
-        the residual's class, which is coset-invariant (coset linearity).  A
-        readout reads the class of the frame after one more recovery, and with
-        commit=True that recovery is applied, in readout order.  Events at a
-        readout time happen before the readout.
+    def walk_block(self, ev_t: np.ndarray, ev_l: np.ndarray, readouts) -> tuple:
+        """Logical classes (x, z) of a block of events, each an int64 array
+        of shape (rows, len(readouts)).
 
-        The walk steps through the event columns, all rows at once, and keeps
-        phi after every column; a readout takes it at the row's count of
-        events up to the readout time.  A committed readout is a recovery
-        event, placed in each row after the events it reads.
+        Each row's events are in time order.  An error event XORs the jump's
+        phi into the frame's.  A recovery (label 0) multiplies the frame by
+        the correction of its syndrome, i.e. XORs the correction's phi; the
+        syndrome bits clear and the logical bits keep the residual's class,
+        which is coset-invariant (coset linearity).  A readout reads the class
+        of the frame after one more recovery, which it does not apply; it
+        takes phi after the row's events up to and at its time.  The walk
+        steps through the event columns, all rows at once.
         """
-        rows, width = ev_l.shape
-        n_read = len(readouts)
-        row = np.arange(rows)[:, None]
-        # readouts before each event: events at a readout time come first
-        before = np.searchsorted(readouts, ev_t, side="left")
-        # events up to each readout time; padding falls in the last bin
-        per_gap = np.bincount((row * (n_read + 1) + before).ravel(),
-                              minlength=rows * (n_read + 1))
-        at = np.cumsum(per_gap.reshape(rows, n_read + 1), axis=1)[:, :n_read]
-        labels = ev_l
-        if commit:
-            at = at + np.arange(n_read)
-            labels = np.empty((rows, width + n_read), dtype=ev_l.dtype)
-            labels[row, np.arange(width) + before] = ev_l
-            labels[row, at] = 0
-        phi = np.zeros((labels.shape[1] + 1, rows), dtype=self.dtype)  # after each column
-        for c, lab in enumerate(labels.T):
+        at = np.count_nonzero(ev_t[:, None] <= np.reshape(readouts, (-1, 1)), axis=2)
+        phi = np.zeros((ev_l.shape[1] + 1, len(ev_l)), dtype=self.dtype)  # after each column
+        for c, lab in enumerate(ev_l.T):
             col = phi[c] ^ self._label_phi[lab]
             rec = np.flatnonzero(lab == 0)
             if rec.size:
                 col[rec] = self._recover(col[rec])
             phi[c + 1] = col
-        res = self._recover(phi[at, row])
-        r, k = self.r, self.k
-        return (((res >> r) & ((1 << k) - 1)).astype(np.int64),
-                (res >> (r + k)).astype(np.int64))
+        return self.classes(self._recover(phi[at, np.arange(len(ev_l))[:, None]]))
+
+
+def _family_fails(tx: np.ndarray, tz: np.ndarray) -> np.ndarray:
+    """Z, X and Y basis family failures on a new first axis: flipped by any X
+    logical, by any Z logical, and by exactly one type per logical."""
+    return np.array([tx != 0, tz != 0, (tx ^ tz) != 0])
 
 
 def _epsilon_shard(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
                    params: PoissonParams, times: list, n_samples: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """Failure counts, shape (3 families, len(times)); readouts do not recover."""
+    """Failure counts, shape (3 families, len(times))."""
     engine = _FrameEngine(code, decoder, noise)  # one memo per shard bounds its size
-    cum = _label_thresholds(params, noise)
     fails = np.zeros((3, len(times)), dtype=np.int64)
-    # draws are sequential, so splitting a shard into blocks changes no output
-    for rows in _chunks(n_samples, _block_rows(params.gamma, times[-1])):
-        ev_t, ev_l = _draw_block(rng, rows, params.gamma, times[-1], cum)
-        tx, tz = engine.walk_block(ev_t, ev_l, times, False)
-        fails[0] += np.count_nonzero(tx, axis=0)       # Z-basis states flipped by any X logical
-        fails[1] += np.count_nonzero(tz, axis=0)       # X-basis states flipped by any Z logical
-        fails[2] += np.count_nonzero(tx ^ tz, axis=0)  # Y-basis: exactly one type per logical
+    for ev_t, ev_l in _blocks(rng, n_samples, params, noise, times[-1]):
+        fails += np.count_nonzero(_family_fails(*engine.walk_block(ev_t, ev_l, times)), axis=1)
     return fails
 
 
@@ -371,15 +375,17 @@ def _run_shards(fn, n_samples: int, shard_size: int, seed: int, tag: str,
         return sum(pool.map(fn, sizes, rngs))
 
 
-def readout_times(times) -> np.ndarray:
-    """times as a float array; raises unless nonempty, finite, nondecreasing
-    and nonnegative.  The frame estimators and lindblad's integrator share it."""
-    times = np.asarray(times, dtype=float)
-    # phrased so that a NaN fails the comparisons
-    if (len(times) == 0 or not np.all(np.diff(times) >= 0) or not times[0] >= 0
-            or not np.isfinite(times[-1])):
-        raise ValueError("times must be finite, nondecreasing and nonnegative")
-    return times
+def _family_rates(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
+                  params: PoissonParams, times, n_samples: int, seed: int, tag: str,
+                  workers: int) -> tuple:
+    """(times, n_samples, family failure rates of shape (3, len(times))),
+    each input checked, from the shards of stream tag."""
+    times = readout_times(times)
+    _require_drawable(params.gamma, times[-1])
+    n_samples = _sample_count(n_samples)
+    shard = partial(_epsilon_shard, code, decoder, noise, params, times.tolist())
+    fails = _run_shards(shard, n_samples, FRAME_SHARD, seed, tag, workers)
+    return times, n_samples, fails / n_samples
 
 
 def estimate_epsilon(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
@@ -394,16 +400,10 @@ def estimate_epsilon(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     minimization over initial states is approximated by that worst case, which
     is exact for effective logical Pauli channels.
     """
-    times = readout_times(times)
-    _require_drawable(params.gamma, times[-1])
-    n_samples = _sample_count(n_samples)
-    shard = partial(_epsilon_shard, code, decoder, noise, params, times.tolist())
-    fails = _run_shards(shard, n_samples, FRAME_SHARD, seed, "epsilon", workers)
-    rates = fails / n_samples
-    family = np.argmax(rates, axis=0)
-    est = rates[family, np.arange(len(times))]
-    stderr = _binomial_stderr(est, n_samples)
-    return MonteCarloEstimate(times=times, estimate=est, stderr=stderr,
+    times, n_samples, rates = _family_rates(code, decoder, noise, params, times,
+                                            n_samples, seed, "epsilon", workers)
+    est = rates.max(axis=0)
+    return MonteCarloEstimate(times=times, estimate=est, stderr=_binomial_stderr(est, n_samples),
                               n_samples=n_samples, seed=seed, per_family=rates)
 
 
@@ -416,7 +416,7 @@ def frame_chain_rates(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     2^(r + 2k) ints that _FrameEngine packs.  Jump mu XORs its phi at rate
     delta * w_mu; a recovery XORs the correction's phi of the current
     syndrome at rate kappa.  Row 0 of expm(Q t) is the law of phi at t, and
-    the readout is the walk's uncommitted final recovery.
+    the readout reads the class after one more recovery, as the walk's does.
 
     For one logical qubit the max over the three rows is epsilon_exact's
     1 - min over its 38 sampled states.  The recovered logical channel is a
@@ -425,24 +425,20 @@ def frame_chain_rates(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     vertex, a cardinal state, and the sampled states hold all six.
     """
     times = readout_times(times)
-    if noise.n_channels != params.n_channels:
-        raise ValueError("noise model and params disagree on channel count")
+    rates = _label_rates(params, noise)
     engine = _FrameEngine(code, decoder, noise)
-    r, k = engine.r, engine.k
-    size = 1 << (r + 2 * k)
+    size = 1 << (engine.r + 2 * engine.k)
     if size > CHAIN_MAX_STATES:
         raise ValueError(f"the frame chain of {code.name} has {size} states, "
                          f"more than {CHAIN_MAX_STATES}")
-    phi, smask = np.arange(size), (1 << r) - 1
-    corr = np.array([engine._correction_phi(s) for s in range(smask + 1)])[phi & smask]
+    phi = np.arange(size)
+    recovered = engine._recover(phi)
     q = np.zeros((size, size))
-    for jp, w in zip(engine.jump_phi, noise.weights):
-        q[phi, phi ^ jp] += params.delta * w  # phi -> phi ^ jp is a permutation
-    q[phi, phi ^ corr] += params.kappa
+    for jp, rate in zip(engine.jump_phi, rates[1:]):
+        q[phi, phi ^ jp] += rate  # phi -> phi ^ jp is a permutation
+    q[phi, recovered] += rates[0]
     q[phi, phi] -= q.sum(axis=1)  # a self-loop (zero phi) cancels here
-    res = phi ^ corr
-    tx, tz = (res >> r) & ((1 << k) - 1), res >> (r + k)
-    fails = np.array([tx != 0, tz != 0, (tx ^ tz) != 0], dtype=float)
+    fails = _family_fails(*engine.classes(recovered)).astype(float)
     law = np.array([expm(q * t)[0] for t in times])
     return fails @ law.T
 
@@ -459,14 +455,11 @@ def estimate_alpha(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     ``per_family`` of estimate_epsilon if needed.
     """
     _require_finite("tau", tau)
-    n_samples = _sample_count(n_samples)
     params = PoissonParams(kappa=0.0, delta=delta, n_channels=noise.n_channels)
-    _require_drawable(params.gamma, tau)
-    shard = partial(_epsilon_shard, code, decoder, noise, params, [float(tau)])
-    fails = _run_shards(shard, n_samples, FRAME_SHARD, seed, "alpha", workers)
-    est = fails[0] / n_samples  # Z-family row
-    stderr = _binomial_stderr(est, n_samples)
-    return MonteCarloEstimate(times=np.asarray([tau]), estimate=est, stderr=stderr,
+    times, n_samples, rates = _family_rates(code, decoder, noise, params, [tau],
+                                            n_samples, seed, "alpha", workers)
+    est = rates[0]  # Z-family row
+    return MonteCarloEstimate(times=times, estimate=est, stderr=_binomial_stderr(est, n_samples),
                               n_samples=n_samples, seed=seed)
 
 
@@ -485,21 +478,19 @@ class Assumption2Result:
 def _assumption2_shard(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
                        params: PoissonParams, t: float, m: int, n_samples: int,
                        rng: np.random.Generator) -> np.ndarray:
-    """Survival counts [lhs, rhs, both] of the paired interleaving design."""
+    """Survival counts [lhs, rhs, both] of the paired interleaving design.
+
+    One noise realization is read out at m*t twice: as drawn (lhs), and with
+    a forced recovery merged in at every j*t, j < m (rhs).
+    """
     engine = _FrameEngine(code, decoder, noise)
-    edges = [j * t for j in range(1, m + 1)]
-    cum = _label_thresholds(params, noise)
-    surv_l = surv_r = both = 0  # both: joint survivals, for the paired variance
-    for rows in _chunks(n_samples, _block_rows(params.gamma, edges[-1])):
-        ev_t, ev_l = _draw_block(rng, rows, params.gamma, edges[-1], cum)
-        # one shared noise realization processed two ways: a single final
-        # recovery at m*t (lhs), or a forced recovery at every j*t (rhs)
-        sl = engine.walk_block(ev_t, ev_l, edges[-1:], False)[0][:, 0] == 0
-        sr = engine.walk_block(ev_t, ev_l, edges, True)[0][:, -1] == 0
-        surv_l += np.count_nonzero(sl)
-        surv_r += np.count_nonzero(sr)
-        both += np.count_nonzero(sl & sr)
-    return np.array([surv_l, surv_r, both], dtype=np.int64)
+    forced = [j * t for j in range(1, m)]
+    counts = np.zeros(3, dtype=np.int64)  # both: joint survivals, for the paired variance
+    for ev_t, ev_l in _blocks(rng, n_samples, params, noise, m * t):
+        sl = engine.walk_block(ev_t, ev_l, [m * t])[0][:, 0] == 0
+        sr = engine.walk_block(*_with_recoveries(ev_t, ev_l, forced), [m * t])[0][:, 0] == 0
+        counts += np.count_nonzero([sl, sr, sl & sr], axis=1)
+    return counts
 
 
 def check_assumption2(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
@@ -514,14 +505,10 @@ def check_assumption2(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     m = _require_count("m", m)
     _require_finite("t", t)
     n_samples = _sample_count(n_samples)
-    if m == 0:
-        return Assumption2Result(1.0, 1.0, 0.0, True, n_samples)
     _require_drawable(params.gamma, m * t)
     shard = partial(_assumption2_shard, code, decoder, noise, params, t, m)
     tot = _run_shards(shard, n_samples, FRAME_SHARD, seed, "assumption2", workers)
-    lhs = tot[0] / n_samples
-    rhs = tot[1] / n_samples
-    both = tot[2] / n_samples
+    lhs, rhs, both = tot / n_samples
     # var(d) with d = 1[lhs survives] - 1[rhs survives]
     var_d = lhs + rhs - 2 * both - (lhs - rhs) ** 2
     sigma = float(np.sqrt(max(var_d, 0.0) / n_samples))

@@ -589,6 +589,18 @@ def test_toric_perturbative_values():
         toric_perturbative(3.5, 2.0, 0.1, "2D")
 
 
+def test_toric_perturbative_past_float_intermediates():
+    # L!/j! and (delta/kappa)^(j+1) each leave the float range; the shift,
+    # -6.511782795572901e94 in exact rationals (fractions.Fraction), does not
+    assert toric_perturbative(401, 1.0, 0.01, "1D") == pytest.approx(-6.511782795572901e94,
+                                                                    rel=1e-12)
+    with pytest.raises(ValueError, match="out of the float range"):
+        toric_perturbative(101, 1.0, 1e10, "1D")
+    # a huge side costs no more than a small one
+    with pytest.raises(ValueError, match="out of the float range"):
+        toric_perturbative(400001, 1.0, 0.01, "1D")
+
+
 def test_toric_perturbative_thermodynamic_decay():
     # with kappa growing linearly in L the magnitude of the shift shrinks
     mags = [abs(toric_perturbative(L, 1.0 * L, 0.05, "2D"))

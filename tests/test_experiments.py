@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -452,6 +454,22 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
     assert cli.main(["--help"]) == 0
 
 
+def test_cli_run_nan_rate_exits_1(tmp_path):
+    # a NaN rate used to reach solve_ivp, which spun until it was killed; a
+    # subprocess with a timeout turns such a hang into a failure
+    cfg_path = _write(tmp_path / "f6.cfg",
+                      "experiment = fig6\nell_values = 1\n"
+                      "delta_values = nan, 0.001, 0.002\nt_points = 4\n"
+                      f"out_dir = {tmp_path / 'out'}\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "aqec.cli", "run", cfg_path], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: rates must be finite and nonnegative")
+
+
 _MANIFEST_BODY = {"experiment": "appH", "params": {}, "seed": 1, "workers": 1,
                   "full_scale": False, "version": "0", "files": {}, "wall_clock_s": 0.0}
 
@@ -615,6 +633,22 @@ def test_cli_bounds_nonfinite_cell_exits_1(tmp_path, capsys, op, value):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "must be finite and nonnegative" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("row,status", [
+    ("401,1.0,0.01,1D", 0),  # L!/j! and (delta/kappa)^(j+1) overflow; the shift fits
+    ("101,1.0,1e10,1D", 1),  # the shift itself is past the float range
+])
+def test_cli_bounds_toric_perturbative_range(tmp_path, capsys, row, status):
+    # both rows used to leak an OverflowError traceback
+    grid = _write(tmp_path / "g.csv", f"op,side,kappa,delta,dims\ntoric_perturbative,{row}\n")
+    assert cli.main(["bounds", "--grid", grid]) == status
+    captured = capsys.readouterr()
+    if status == 0:
+        value = float(captured.out.splitlines()[1].split(",")[-2])
+        assert value == pytest.approx(-6.511782795572901e94, rel=1e-11)
+    else:
+        assert captured.err.startswith("error: ") and "float range" in captured.err
 
 
 def test_cli_bounds_unknown_op_exits_1(tmp_path, capsys):

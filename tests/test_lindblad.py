@@ -137,10 +137,16 @@ def test_composed_generator_dense_consistency():
 def test_generator_rejects_negative_rates_and_mismatched_dims():
     code = repetition_code(3)
     rec = stabilizer_recovery(code, MajorityDecoder(code))
-    with pytest.raises(ValueError, match="rates must be nonnegative"):
+    with pytest.raises(ValueError, match="rates must be finite and nonnegative"):
         build_lindbladian([(SX, 0.5), (SZ, -0.1)])
-    with pytest.raises(ValueError, match="kappa must be nonnegative"):
+    with pytest.raises(ValueError, match="kappa must be finite and nonnegative"):
         recovery_lindbladian(rec, -1.0)
+    # a NaN or infinite rate used to pass and hang the integrator
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="rates must be finite and nonnegative"):
+            build_lindbladian([(SX, 0.5), (SZ, bad)])
+        with pytest.raises(ValueError, match="kappa must be finite and nonnegative"):
+            recovery_lindbladian(rec, bad)
     with pytest.raises(ValueError, match="square dimension"):
         build_lindbladian([(SX, 0.5), (np.eye(4), 0.5)])
     with pytest.raises(ValueError, match="at least one jump"):

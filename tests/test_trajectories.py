@@ -36,6 +36,7 @@ from aqec.trajectories import (
     _draw_block,
     _FrameEngine,
     _label_thresholds,
+    _with_recoveries,
     check_assumption2,
     estimate_alpha,
     estimate_epsilon,
@@ -68,6 +69,15 @@ def test_noise_model_constructors():
     assert [e.letter(q) for q, e in enumerate(dz.jumps)] == ["Z", "Z"]
     with pytest.raises(ValueError):
         NoiseModel("bad", 2, dep.jumps[:2], weights=(1.0,))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
+def test_noise_model_rejects_bad_weights(bad):
+    # a NaN weight used to scale every weight to NaN and draw labels silently wrong
+    jumps = NoiseModel.bit_flip(3).jumps
+    with pytest.raises(ValueError, match="weights must be"):
+        NoiseModel("bad", 3, jumps, weights=(bad, 1.0, 1.0))
+    assert NoiseModel("ok", 3, jumps, weights=(2.0, 1.0, 1.0)).weights == (1.5, 0.75, 0.75)
 
 
 def test_shard_rng_streams():
@@ -710,6 +720,14 @@ def _rows_of(ev_t, ev_l):
     return [(t[np.isfinite(t)], lab[np.isfinite(t)]) for t, lab in zip(ev_t, ev_l)]
 
 
+def _walked(engine, ev_t, ev_l, readouts, commit):
+    """The engine's classes at readouts; with commit, a recovery event is
+    merged in at each readout, as the reference walk commits one there."""
+    if commit:
+        return engine.walk_block(*_with_recoveries(ev_t, ev_l, readouts), readouts)
+    return engine.walk_block(ev_t, ev_l, readouts)
+
+
 @pytest.mark.parametrize("commit", [False, True])
 @pytest.mark.parametrize("name", ["five_lookup", "rep5_majority", "toric3_mwpm"])
 def test_phi_walk_matches_pauli_reference(name, commit):
@@ -720,7 +738,7 @@ def test_phi_walk_matches_pauli_reference(name, commit):
     cum = _label_thresholds(params, noise)
     readouts = [0.3, 0.7, 1.0, 1.0, 1.6]
     ev_t, ev_l = _draw_block(rng, 150, params.gamma, readouts[-1], cum)
-    tx, tz = engine.walk_block(ev_t, ev_l, readouts, commit)
+    tx, tz = _walked(engine, ev_t, ev_l, readouts, commit)
     assert tx.shape == tz.shape == (150, len(readouts))
     classes = set()
     for i, (t, lab) in enumerate(_rows_of(ev_t, ev_l)):
@@ -734,6 +752,25 @@ def test_phi_walk_matches_pauli_reference(name, commit):
         assert any(x and z for x, z in classes)  # both sectors, and Y
     else:
         assert 0 in counts  # and some rows draw no event
+
+
+def test_forced_recovery_follows_an_error_at_its_time():
+    # X0 at 0.5, then X1 and a forced recovery both at 1.0.  Error first, the
+    # majority vote completes a logical X; recovery first, it would undo X0
+    # and the readout's recovery would undo X1.
+    code = repetition_code(3)
+    dec = MajorityDecoder(code)
+    noise = NoiseModel.bit_flip(3)
+    engine = _FrameEngine(code, dec, noise)
+    ev_t, ev_l = np.array([[0.5, 1.0, np.inf]]), np.array([[1, 2, 4]])  # 4 pads
+    merged_t, merged_l = _with_recoveries(ev_t, ev_l, [1.0])
+    assert merged_t.tolist() == [[0.5, 1.0, 1.0, np.inf]]
+    assert merged_l.tolist() == [[1, 2, 0, 4]]
+    tx, tz = engine.walk_block(merged_t, merged_l, [1.0, 2.0])
+    assert (tx.tolist(), tz.tolist()) == ([[1, 1]], [[0, 0]])
+    want, _ = _reference_walk(dec, noise, [0.5, 1.0], [1, 2], [1.0, 2.0], True)
+    assert want == [(1, 0), (1, 0)]
+    assert engine.walk_block(merged_t, np.array([[1, 0, 2, 4]]), [2.0])[0].tolist() == [[0]]
 
 
 def test_phi_walk_decodes_once_per_distinct_syndrome():
@@ -753,10 +790,10 @@ def test_phi_walk_decodes_once_per_distinct_syndrome():
     cum = _label_thresholds(params, noise)
     readouts = [0.5, 1.0, 1.5]
     seen = set()
-    # two blocks and both readout modes share the memo
+    # two blocks, one with recoveries merged in at the readouts, share the memo
     for rows, commit in ((120, True), (80, False)):
         ev_t, ev_l = _draw_block(rng, rows, params.gamma, readouts[-1], cum)
-        engine.walk_block(ev_t, ev_l, readouts, commit)
+        _walked(engine, ev_t, ev_l, readouts, commit)
         for t, lab in _rows_of(ev_t, ev_l):
             seen |= _reference_walk(ref_dec, noise, t, lab, readouts, commit)[1]
     assert len(calls) == len(set(calls))
@@ -781,3 +818,12 @@ def test_estimator_outputs_pinned():
                           t=0.3, m=3, n_samples=n, seed=47)
     assert (r.lhs, r.rhs, r.sigma) == (
         0.8353193517635844, 0.9082459485224023, 0.004963082009066641)
+    # MWPM with forced recoveries at m - 1 = 4 interior times, and alpha
+    code = toric_code(3)
+    noise = NoiseModel.bit_flip(code.n)
+    r = check_assumption2(code, MwpmDecoder(code), noise, noise.params(2.0, 0.05),
+                          t=0.2, m=5, n_samples=n, seed=71)
+    assert (r.lhs, r.rhs, r.sigma, r.holds) == (
+        0.9683031458531935, 0.9921353670162059, 0.002402410572648519, True)
+    a = estimate_alpha(code, MwpmDecoder(code), noise, 0.3, n, seed=73)
+    assert (a.estimate[0], a.stderr[0]) == (0.6029551954242135, 0.007553435757229894)
