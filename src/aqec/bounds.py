@@ -55,7 +55,7 @@ def _require_count(name: str, v) -> int:
     """v as an int; raises ValueError unless v is a nonnegative integer
     (integral floats such as 15.0 pass)."""
     if not (v >= 0 and float(v).is_integer()):  # a NaN fails the comparison
-        raise ValueError(f"{name} must be a nonnegative integer")
+        raise ValueError(f"{name} must be a nonnegative integer, got {v}")
     return int(v)
 
 
@@ -215,10 +215,8 @@ def solve_recurrence(h: int, n: int, p1: float) -> RecurrenceSolution:
     q_v = (1 - v/n) p1 / (1 - (v/n) p1 q_{v-1}), every term positive and
     q_v <= 1, so there is no cancellation; log s_v = sum_{u >= v} log q_u.
     """
-    if not (float(h).is_integer() and float(n).is_integer()):
-        raise ValueError(f"h and n must be integers, got h={h}, n={n}")
-    h, n = int(h), int(n)
-    if h < 0 or h >= n:
+    h, n = _require_count("h", h), _require_count("n", n)
+    if h >= n:
         raise ValueError("need 0 <= h < n")
     if not 0 < p1 <= 1:
         raise ValueError("p1 must lie in (0, 1]")
@@ -408,8 +406,11 @@ def p_exact_quadrature(inputs: BoundInputs, t):
 
 
 def ols_line(x, y) -> tuple:
-    """Ordinary least squares fit; returns (slope, intercept)."""
-    slope, intercept = np.polyfit(np.asarray(x, float), np.asarray(y, float), 1)
+    """Least squares line (slope, intercept); ValueError for fewer than two distinct x."""
+    x = np.asarray(x, float)
+    if len(np.unique(x)) < 2:
+        raise ValueError(f"need at least two distinct x, got {len(np.unique(x))}")
+    slope, intercept = np.polyfit(x, np.asarray(y, float), 1)
     return float(slope), float(intercept)
 
 

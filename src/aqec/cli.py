@@ -30,19 +30,12 @@ from .bounds import (
 )
 from .experiments import parse_config, run, verify
 
-_INT_FIELDS = {*BoundInputs.COUNT_FIELDS, "side"}
-
 
 def _cell(row, key):
     value = row.get(key)
     if value is None or str(value).strip() == "":
         return None
-    value = float(value)
-    if key not in _INT_FIELDS:
-        return value
-    if not value.is_integer():
-        raise ValueError(f"column {key!r} needs an integer, got {row[key]!r}")
-    return int(value)
+    return float(value)
 
 
 def _eval_bounds_row(row):

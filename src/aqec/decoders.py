@@ -73,8 +73,8 @@ class LookupDecoder(Decoder):
             raise ValueError(f"syndrome {s} outside [0, 2^{len(self.code.generators)})")
         return PauliOperator(self.code.n, cx, cz, (cx & cz).bit_count())
 
-    def correction_masks(self, x_bits: int, z_bits: int) -> tuple:
-        return self.table[self.syndrome_bits(x_bits, z_bits)]
+    # bound in the class dict so tracers can wrap it per decoder class
+    correction_masks = Decoder.correction_masks
 
 
 def build_lookup(code: StabilizerCode) -> LookupDecoder:

@@ -304,18 +304,16 @@ def build_recovery(codewords, errors) -> KrausChannel:
     return chan
 
 
-def binomial_codewords(ell: int, d_max: int = None) -> tuple:
-    """Binomial codewords with Fock spacing 2*ell+1.
+def binomial_codewords(ell: int, d_max: int) -> tuple:
+    """Binomial codewords with Fock spacing 2*ell+1 in d_max Fock levels.
 
     |0> holds even binomial indices, |1> odd, amplitudes sqrt(C(2ell+1, p))/2^ell
-    at Fock level p*(2ell+1).  Default cutoff (2ell+1)^2 + 4*(2ell+1) leaves
-    room for gain errors above the top codeword level.
+    at Fock level p*(2ell+1).  d_max must exceed the top codeword level
+    (2ell+1)^2; experiments.fig6_cutoff gives the cutoff fig6 uses.
     """
     if ell < 1:
         raise ValueError("ell must be at least 1")
     s = 2 * ell + 1
-    if d_max is None:
-        d_max = s * s + 4 * s
     if d_max <= s * s:
         raise ValueError(f"cutoff {d_max} too small for top Fock level {s * s}")
     zero = np.zeros(d_max, dtype=complex)

@@ -103,25 +103,13 @@ class PoissonParams:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Pauli jump set {E_mu} with weights lambda_mu (sum = N, uniform default)."""
+    """Pauli jump set {E_mu}: N channels, each at rate delta (total N * delta)."""
 
     name: str
     n: int
     jumps: tuple
-    weights: tuple = None
 
     def __post_init__(self):
-        if self.weights is None:
-            object.__setattr__(self, "weights", (1.0,) * len(self.jumps))
-        if len(self.weights) != len(self.jumps):
-            raise ValueError("one weight per jump")
-        _require_finite("weights", self.weights)
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
-        # lambda_mu convention: weights sum to the channel count, so delta is
-        # the mean per-channel rate and the total error rate is N * delta
-        scale = len(self.jumps) / sum(self.weights)
-        object.__setattr__(self, "weights", tuple(w * scale for w in self.weights))
         for e in self.jumps:
             if e.n != self.n:
                 raise ValueError("jump qubit count mismatch")
@@ -155,10 +143,10 @@ def shard_rng(root_seed: int, tag: str, shard: int) -> np.random.Generator:
 
 
 def _label_rates(params: PoissonParams, noise: NoiseModel) -> np.ndarray:
-    """Rate of each event label: [kappa, delta * w_1, ..., delta * w_N]."""
+    """Rate of each event label: [kappa, delta, ..., delta], N deltas."""
     if noise.n_channels != params.n_channels:
         raise ValueError("noise model and params disagree on channel count")
-    return np.concatenate(([params.kappa], np.asarray(noise.weights, dtype=float) * params.delta))
+    return np.array([params.kappa] + [params.delta] * noise.n_channels, dtype=float)
 
 
 def _label_thresholds(params: PoissonParams, noise: NoiseModel) -> np.ndarray:
@@ -414,8 +402,8 @@ def frame_chain_rates(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
 
     The frame walk's phi is a continuous-time Markov chain on the
     2^(r + 2k) ints that _FrameEngine packs.  Jump mu XORs its phi at rate
-    delta * w_mu; a recovery XORs the correction's phi of the current
-    syndrome at rate kappa.  Row 0 of expm(Q t) is the law of phi at t, and
+    delta; a recovery XORs the correction's phi of the current syndrome at
+    rate kappa.  Row 0 of expm(Q t) is the law of phi at t, and
     the readout reads the class after one more recovery, as the walk's does.
 
     For one logical qubit the max over the three rows is epsilon_exact's

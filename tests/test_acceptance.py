@@ -83,7 +83,7 @@ def five_qubit():
     noise = NoiseModel.depolarizing(code.n)
     kappa, delta = 1.0, 1.0 / 15.0  # total error rate N * delta = kappa
     recovery = stabilizer_recovery(code, decoder)
-    jumps = [(pauli_matrix(e), delta * w) for e, w in zip(noise.jumps, noise.weights)]
+    jumps = [(pauli_matrix(e), delta) for e in noise.jumps]
     lind = build_lindbladian(jumps) + recovery_lindbladian(recovery, kappa)
     return {"code": code, "decoder": decoder, "noise": noise, "kappa": kappa,
             "delta": delta, "recovery": recovery, "lind": lind,

@@ -170,7 +170,7 @@ def test_solve_recurrence_small_cases():
     assert solve_recurrence(3.0, 10, 0.5).log_s.tolist() == want.tolist()
     assert solve_recurrence(3, 10.0, 0.5).log_s.tolist() == want.tolist()
     for h, n in ((3.5, 10), (3, 10.5), (math.nan, 10)):
-        with pytest.raises(ValueError, match="h and n must be integers"):
+        with pytest.raises(ValueError, match="must be a nonnegative integer, got"):
             solve_recurrence(h, n, 0.5)
 
 
@@ -528,6 +528,11 @@ def test_ols_line_exact():
     slope, intercept = ols_line(x, -2.5 * x + 0.75)
     assert slope == pytest.approx(-2.5, abs=1e-12)
     assert intercept == pytest.approx(0.75, abs=1e-12)
+    # two points fit exactly; fewer distinct x leave the line undetermined
+    assert ols_line([1.0, 3.0], [2.0, 6.0]) == pytest.approx((2.0, 0.0), abs=1e-12)
+    for x in ([], [2.0], [2.0, 2.0, 2.0]):
+        with pytest.raises(ValueError, match="need at least two distinct x"):
+            ols_line(x, [1.0] * len(x))
 
 
 _PINNED_DELTAS = np.array([1e-3, 2e-3, 5e-3])

@@ -470,6 +470,20 @@ def test_cli_run_nan_rate_exits_1(tmp_path):
     assert done.stderr.startswith("error: rates must be finite and nonnegative")
 
 
+@pytest.mark.parametrize("body,distinct", [
+    # fit_start past t_max leaves no fit point; it used to leak a TypeError
+    ("experiment = fig6\nfit_start = 100.0\n", 0),
+    # one N or one kappa/Delta used to write a rank-deficient fit to the CSV
+    ("experiment = figE8\nn_values = 1000\n", 1),
+    ("experiment = figE7\nkd_values = 2.0\n", 1),
+], ids=["fig6_fit_past_t_max", "figE8_one_n", "figE7_one_kd"])
+def test_cli_run_degenerate_fit_exits_1(tmp_path, capsys, body, distinct):
+    cfg_path = _write(tmp_path / "c.cfg", body + f"out_dir = {tmp_path / 'out'}\n")
+    assert cli.main(["run", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: need at least two distinct x, got {distinct}\n"
+
+
 _MANIFEST_BODY = {"experiment": "appH", "params": {}, "seed": 1, "workers": 1,
                   "full_scale": False, "version": "0", "files": {}, "wall_clock_s": 0.0}
 
@@ -663,7 +677,7 @@ def test_cli_bounds_fractional_integer_column_exits_1(tmp_path, capsys):
                   "p_exact_quadrature,2.5,1.0,1.0,1,1.0\n")
     assert cli.main(["bounds", "--grid", grid]) == 1
     err = capsys.readouterr().err
-    assert "'ell'" in err and "2.5" in err
+    assert "ell must be a nonnegative integer, got 2.5" in err
     whole = _write(tmp_path / "w.csv",
                    "op,ell,kappa,delta,n_channels,t\n"
                    "p_exact_quadrature,2.0,1.0,1.0,1,1.0\n")

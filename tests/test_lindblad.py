@@ -257,7 +257,7 @@ def test_binomial_codewords():
     want1[3], want1[9] = np.sqrt(3) / 2, 0.5
     assert np.allclose(zero, want0) and np.allclose(one, want1)
     for ell in (1, 2, 3):
-        z, o = binomial_codewords(ell)
+        z, o = binomial_codewords(ell, (2 * ell + 1) ** 2 + 1)
         assert abs(np.vdot(z, o)) == 0.0
         assert abs(np.linalg.norm(z) - 1) < 1e-12
         n_op = np.arange(len(z))
@@ -276,7 +276,7 @@ def test_oscillator_commutator_truncation():
 
 
 def test_binomial_recovery_restores_photon_loss():
-    zero, one = binomial_codewords(1)
+    zero, one = binomial_codewords(1, 21)
     osc = TruncatedOscillator(len(zero))
     errors = [np.eye(len(zero), dtype=complex), osc.a, osc.adag, osc.number]
     c, ok = kl_matrix([zero, one], errors)
@@ -302,7 +302,7 @@ def test_direction_samplers():
 
 
 def test_logical_states_cardinal():
-    zero, one = binomial_codewords(1)
+    zero, one = binomial_codewords(1, 21)
     states = logical_states([zero, one], [[0, 0, 1], [0, 0, -1], [1, 0, 0]])
     assert np.allclose(states[0], zero)
     assert np.allclose(states[1], one, atol=1e-15) or np.allclose(np.abs(states[1]), np.abs(one))

@@ -67,17 +67,8 @@ def test_noise_model_constructors():
     assert [e.letter(q) for q, e in enumerate(bf.jumps)] == ["X", "X", "X"]
     dz = NoiseModel.dephasing(2)
     assert [e.letter(q) for q, e in enumerate(dz.jumps)] == ["Z", "Z"]
-    with pytest.raises(ValueError):
-        NoiseModel("bad", 2, dep.jumps[:2], weights=(1.0,))
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
-def test_noise_model_rejects_bad_weights(bad):
-    # a NaN weight used to scale every weight to NaN and draw labels silently wrong
-    jumps = NoiseModel.bit_flip(3).jumps
-    with pytest.raises(ValueError, match="weights must be"):
-        NoiseModel("bad", 3, jumps, weights=(bad, 1.0, 1.0))
-    assert NoiseModel("ok", 3, jumps, weights=(2.0, 1.0, 1.0)).weights == (1.5, 0.75, 0.75)
+    with pytest.raises(ValueError, match="jump qubit count mismatch"):
+        NoiseModel("bad", 4, dep.jumps[:2])
 
 
 def test_shard_rng_streams():
@@ -91,7 +82,8 @@ def test_shard_rng_streams():
 
 
 def test_trajectory_moments_and_labels():
-    # counts ~ Poisson(gamma t); recovery fraction ~ p0
+    # counts ~ Poisson(gamma t); recovery fraction ~ p0; each channel ~ 1/15
+    # of the error labels
     noise = NoiseModel.depolarizing(5)
     params = noise.params(kappa=1.0, delta=1.0 / 15.0)
     rng = shard_rng(11, "traj", 0)
@@ -111,19 +103,11 @@ def test_trajectory_moments_and_labels():
     assert abs(total - mean) < 3 * np.sqrt(mean)
     frac = recov / total
     assert abs(frac - params.p0) < 3 * np.sqrt(params.p0 * (1 - params.p0) / total)
-
-
-def test_trajectory_weighted_labels():
-    jumps = NoiseModel.dephasing(2).jumps
-    noise = NoiseModel("biased", 2, jumps, weights=(3.0, 1.0))
-    params = noise.params(kappa=0.0, delta=0.5)
-    rng = shard_rng(3, "traj", 1)
-    cum = _label_thresholds(params, noise)
-    _, labels = _draw_block(rng, 500, params.gamma, 4.0, cum)
-    counts = np.bincount(labels.ravel(), minlength=4)[:3]
-    assert counts[0] == 0
-    n = counts.sum()
-    assert abs(counts[1] / n - 0.75) < 3 * np.sqrt(0.75 * 0.25 / n)
+    per_channel = np.bincount(labels[drawn], minlength=16)[1:]
+    errors = total - recov
+    assert per_channel.sum() == errors
+    p = 1.0 / 15.0
+    assert np.all(np.abs(per_channel / errors - p) < 4 * np.sqrt(p * (1 - p) / errors))
 
 
 def test_trajectory_degenerate():
@@ -135,6 +119,10 @@ def test_trajectory_degenerate():
     params = noise.params(1.0, 1.0)
     times, _ = _draw_block(rng, 3, params.gamma, 0.0, _label_thresholds(params, noise))
     assert times.shape == (3, 0)
+    # kappa = 0 draws no recovery label
+    params = noise.params(0.0, 0.5)
+    times, labels = _draw_block(rng, 50, params.gamma, 4.0, _label_thresholds(params, noise))
+    assert set(labels[np.isfinite(times)].tolist()) == {1, 2}
 
 
 def _reference_draws(rng, n, gamma, horizon, cum):
@@ -590,6 +578,10 @@ def test_params_reject_nonfinite_rates_and_fractional_channels(kappa, delta, n_c
     with pytest.raises(ValueError, match="finite|integer|nonnegative"):
         PoissonParams(kappa, delta, n_channels)
     assert PoissonParams(1.0, 0.1, 15.0).gamma == pytest.approx(2.5)
+    # an integral float channel count draws as its integer
+    noise = NoiseModel.depolarizing(5)
+    assert np.array_equal(_label_thresholds(PoissonParams(1.0, 0.1, 15.0), noise),
+                          _label_thresholds(noise.params(1.0, 0.1), noise))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -624,7 +616,7 @@ def test_frame_chain_matches_lindblad_epsilon_exact():
     kappa, delta = 1.0, 1.0 / 15.0
     ts = [0.05, 0.5, 2.0]
     recovery = stabilizer_recovery(code, dec)
-    jumps = [(pauli_matrix(e), delta * w) for e, w in zip(noise.jumps, noise.weights)]
+    jumps = [(pauli_matrix(e), delta) for e in noise.jumps]
     lind = build_lindbladian(jumps) + recovery_lindbladian(recovery, kappa)
     want = epsilon_exact(lind, recovery, codespace_basis(code), ts)
     got = frame_chain_rates(code, dec, noise, noise.params(kappa, delta), ts)
