@@ -36,7 +36,6 @@ __all__ = [
     "theorem4_late_slope",
     "theorem5_lower",
     "theorem5_delta_eff",
-    "theorem5_delta_eff_asymptotic",
     "delta_eff",
     "p_asymptotic",
     "p_exact_quadrature",
@@ -280,11 +279,6 @@ def theorem5_delta_eff(a: float, tau_c: float, kappa: float) -> float:
     if tau_c == 0:
         raise ValueError("tau_c must be positive")
     return -kappa * math.log1p(-a * math.exp(-kappa * tau_c)) / (kappa * tau_c + math.log(2))
-
-
-def theorem5_delta_eff_asymptotic(a: float, tau_c: float, kappa: float) -> float:
-    """Large-kappa form (a / tau_c) e^(-kappa tau_c)."""
-    return (a / tau_c) * math.exp(-kappa * tau_c)
 
 
 def theorem5_lower(a: float, tau_c: float, kappa: float, t):

@@ -4,9 +4,14 @@ Three decoder kinds: exhaustive lookup tables for small codes, exact
 minimum-weight perfect matching for the toric code (X and Z sectors decoded
 independently), and closed-form majority vote for the repetition code.
 A syndrome is an int in generator order: bit alpha is set iff the error
-anticommutes with generator alpha.  correction(s) accepts any s in
-[0, 2^(n-k)) and returns a Pauli whose syndrome is exactly s, so the frame
-after recovery is a zero-syndrome logical representative.
+anticommutes with generator alpha (``paulis.syndrome_of``).  The contract is
+held in ``Decoder.correction``: it accepts any s in [0, 2^(n-k)), raises
+``ValueError`` outside it, and returns a Hermitian Pauli whose syndrome is
+exactly s, so the frame after recovery is a zero-syndrome logical
+representative.  A subclass maps an in-range syndrome to the correction's
+(x, z) masks in ``_masks``.  The raw-frame methods ``correction_masks``,
+``star_defects`` and ``plaquette_defects`` stay only because
+``bench/layers.py`` and ``bench/workloads.py`` call them.
 
 All tie-breaking is deterministic: lookup enumerates candidates by
 (weight, x_bits, z_bits) ascending; matching keeps the lowest-index partner
@@ -17,26 +22,16 @@ horizontal leg, and wrap toward increasing coordinates on exact-half ties.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import networkx as nx
 
-from .paulis import (
-    PauliOperator,
-    StabilizerCode,
-    _toric_edges,
-    anticommutation_bits,
-    logical_class,
-    multiply,
-    syndrome_of,
-)
+from .paulis import PauliOperator, StabilizerCode, _toric_edges, syndrome_of
 
 __all__ = [
     "Decoder",
     "build_lookup",
     "MwpmDecoder",
     "MajorityDecoder",
-    "apply_recovery",
 ]
 
 _LOOKUP_SYNDROME_CAP = 24  # 2^(n-k) table entries; hard memory budget
@@ -48,16 +43,20 @@ class Decoder:
     def __init__(self, code: StabilizerCode):
         self.code = code
 
-    def syndrome_bits(self, x_bits: int, z_bits: int) -> int:
-        return anticommutation_bits(self.code.generators,
-                                    PauliOperator(self.code.n, x_bits, z_bits))
-
     def correction(self, s: int) -> PauliOperator:
+        """Hermitian correction (phase i^|x&z|) whose syndrome is exactly s."""
+        if not 0 <= s < 1 << len(self.code.generators):
+            raise ValueError(f"syndrome {s} outside [0, 2^{len(self.code.generators)})")
+        cx, cz = self._masks(s)
+        return PauliOperator(self.code.n, cx, cz, (cx & cz).bit_count())
+
+    def _masks(self, s: int) -> tuple:
+        """(x, z) masks of the correction for a syndrome s already in range."""
         raise NotImplementedError
 
     def correction_masks(self, x_bits: int, z_bits: int) -> tuple:
         """Correction (x, z) masks for a raw frame, decoded from its syndrome."""
-        c = self.correction(self.syndrome_bits(x_bits, z_bits))
+        c = self.correction(syndrome_of(self.code, PauliOperator(self.code.n, x_bits, z_bits)))
         return c.x_bits, c.z_bits
 
 
@@ -66,12 +65,8 @@ class LookupDecoder(Decoder):
         super().__init__(code)
         self.table = table  # syndrome bits -> (corr_x, corr_z)
 
-    def correction(self, s: int) -> PauliOperator:
-        try:
-            cx, cz = self.table[s]
-        except KeyError:
-            raise ValueError(f"syndrome {s} outside [0, 2^{len(self.code.generators)})")
-        return PauliOperator(self.code.n, cx, cz, (cx & cz).bit_count())
+    def _masks(self, s: int) -> tuple:
+        return self.table[s]
 
     # bound in the class dict so tracers can wrap it per decoder class
     correction_masks = Decoder.correction_masks
@@ -92,7 +87,6 @@ def build_lookup(code: StabilizerCode) -> LookupDecoder:
         raise ValueError(f"lookup table with 2^{n_gen} entries exceeds budget")
     n = code.n
     table = {0: (0, 0)}
-    decoder = LookupDecoder(code, table)
     target = 1 << n_gen
     for w in range(1, n + 1):
         if len(table) == target:
@@ -108,10 +102,10 @@ def build_lookup(code: StabilizerCode) -> LookupDecoder:
                         ez |= 1 << q
                 candidates.append((ex, ez))
         for ex, ez in sorted(candidates):
-            s = decoder.syndrome_bits(ex, ez)
+            s = syndrome_of(code, PauliOperator(n, ex, ez))
             if s not in table:
                 table[s] = (ex, ez)
-    return decoder
+    return LookupDecoder(code, table)
 
 
 class MajorityDecoder(Decoder):
@@ -123,7 +117,7 @@ class MajorityDecoder(Decoder):
         super().__init__(code)
         self._full = (1 << code.n) - 1
 
-    def correction(self, s: int) -> PauliOperator:
+    def _masks(self, s: int) -> tuple:
         # reconstruct the X-error pattern with e_0 = 0 from boundary parities,
         # then pick the lighter of the two cosets (n odd => never a tie)
         n = self.code.n
@@ -134,7 +128,7 @@ class MajorityDecoder(Decoder):
             e |= cur << (i + 1)
         if e.bit_count() > n // 2:
             e ^= self._full
-        return PauliOperator(n, e, 0, 0)
+        return e, 0
 
 
 # -- toric MWPM --------------------------------------------------------------
@@ -229,10 +223,12 @@ class MwpmDecoder(Decoder):
     # -- defect extraction ---------------------------------------------------
 
     def star_defects(self, x_bits: int) -> list:
-        return self._defects_from_syndrome(self.syndrome_bits(x_bits, 0), "star")
+        s = syndrome_of(self.code, PauliOperator(self.code.n, x_bits, 0))
+        return self._defects_from_syndrome(s, "star")
 
     def plaquette_defects(self, z_bits: int) -> list:
-        return self._defects_from_syndrome(self.syndrome_bits(0, z_bits), "plaquette")
+        s = syndrome_of(self.code, PauliOperator(self.code.n, 0, z_bits))
+        return self._defects_from_syndrome(s, "plaquette")
 
     def _defects_from_syndrome(self, bits: int, sector: str) -> list:
         # generator order drops the last vertex/face; restore it by parity
@@ -300,18 +296,7 @@ class MwpmDecoder(Decoder):
     # bound in the class dict so tracers can wrap it per decoder class
     correction_masks = Decoder.correction_masks
 
-    def correction(self, s: int) -> PauliOperator:
+    def _masks(self, s: int) -> tuple:
         cx = self.sector_correction_mask(self._defects_from_syndrome(s, "star"), "star")
         cz = self.sector_correction_mask(self._defects_from_syndrome(s, "plaquette"), "plaquette")
-        return PauliOperator(self.code.n, cx, cz, (cx & cz).bit_count())
-
-
-def apply_recovery(dec: Decoder, frame: PauliOperator) -> tuple:
-    """Correct an accumulated error frame.
-
-    Returns (residual, logical) where residual = correction * frame has zero
-    syndrome and logical is its class, one letter per logical qubit.
-    """
-    corr = dec.correction(syndrome_of(dec.code, frame))
-    residual = multiply(corr, frame)
-    return residual, logical_class(dec.code, residual)
+        return cx, cz

@@ -456,6 +456,14 @@ def fig6_cutoff(ell: int, full_scale: bool) -> int:
     return s * s + 4 * s
 
 
+def _fit(x, y, key: str) -> tuple:
+    """ols_line, naming the config key that chose the points of a degenerate fit."""
+    try:
+        return ols_line(x, y)
+    except ValueError as err:
+        raise ValueError(f"{key}: {err}") from None
+
+
 def _run_fig6(p, seed, workers, full_scale=False):
     kappa = p["kappa"]
     ts = np.linspace(0.0, p["t_max"], p["t_points"])
@@ -477,7 +485,7 @@ def _run_fig6(p, seed, workers, full_scale=False):
             out[name] = (("x", "y", "ell", "delta", "cutoff"),
                          [(t, e, int(ell), float(delta), cutoff)
                           for t, e in zip(ts, eps)])
-            slope, _ = ols_line(ts[fit], eps[fit])
+            slope, _ = _fit(ts[fit], eps[fit], "fit_start")
             c_prime = slope ** (1.0 / (ell + 1.0)) / delta
             rate_rows.append((float(delta), float(slope), int(ell),
                               float(c_prime), cutoff))
@@ -508,7 +516,7 @@ def _run_figE7(p, seed, workers):
     sat = {kd: max(sub)[2] for kd, sub in by_kd.items()}  # ln_ratio at the largest N
     kds = np.array(sorted(sat))
     lns = np.array([sat[k] for k in kds])
-    slope, intercept = ols_line(kds, lns)
+    slope, intercept = _fit(kds, lns, "kd_values")
     out["figE7_saturated.csv"] = (
         ("x", "y", "fit_slope", "fit_intercept"),
         [(float(k), float(v), slope, intercept) for k, v in zip(kds, lns)])
@@ -522,7 +530,8 @@ def _run_figE8(p, seed, workers):
         ns = np.array([n for n, _, _ in sub], dtype=float)
         lns = np.array([lr for _, _, lr in sub])
         window = ns >= ns.max() / 10.0  # fit over the largest decade computed
-        slope, _ = ols_line(np.log(ns[window]), lns[window])
+        slope, _ = _fit(np.log(ns[window]), lns[window],
+                        "n_values within one decade of the largest")
         exp_rows.append((float(kd), float(slope), -kd / 4.0))
     out["figE8_exponents.csv"] = (("x", "y", "target"), exp_rows)
     return out

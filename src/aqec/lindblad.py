@@ -166,7 +166,7 @@ class KrausChannel:
             out += k @ rho @ k.conj().T
         if self.p_perp is not None:
             w = np.einsum("ij,...ji->...", self.p_perp, rho)
-            out += np.multiply.outer(w, self.sigma) if rho.ndim > 2 else w * self.sigma
+            out += np.multiply.outer(w, self.sigma)
         return out
 
     def to_dense(self) -> np.ndarray:

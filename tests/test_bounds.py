@@ -26,7 +26,6 @@ from aqec.bounds import (
     theorem4_bound,
     theorem4_late_slope,
     theorem5_delta_eff,
-    theorem5_delta_eff_asymptotic,
     theorem5_lower,
     toric_1d_trace_oracle,
     toric_perturbative,
@@ -298,6 +297,11 @@ def test_theorem5_lower_basics():
         theorem5_delta_eff(1.2, 0.5, 1.0)
 
 
+def _theorem5_asymptote(a, tau_c, kappa):
+    """Large-kappa form (a / tau_c) e^(-kappa tau_c) of theorem5_delta_eff."""
+    return (a / tau_c) * math.exp(-kappa * tau_c)
+
+
 def test_theorem5_asymptotic_correction():
     # The exact rate differs from the large-kappa form by the factor
     # kappa tau_c / (kappa tau_c + log 2) (up to O(a e^-kappa tau_c)), so the
@@ -307,15 +311,15 @@ def test_theorem5_asymptotic_correction():
         tau_c, a = 2.0, 0.3
         kappa = ktc / tau_c
         exact = theorem5_delta_eff(a, tau_c, kappa)
-        asym = theorem5_delta_eff_asymptotic(a, tau_c, kappa)
+        asym = _theorem5_asymptote(a, tau_c, kappa)
         x = a * math.exp(-ktc)
         predicted = (-math.log1p(-x) / x) * ktc / (ktc + math.log(2))
         assert exact / asym == pytest.approx(predicted, abs=1e-9)
     gap10 = abs(theorem5_delta_eff(0.3, 2.0, 5.0)
-                / theorem5_delta_eff_asymptotic(0.3, 2.0, 5.0) - 1)
+                / _theorem5_asymptote(0.3, 2.0, 5.0) - 1)
     assert 0.05 < gap10 < 0.08
     gap14 = abs(theorem5_delta_eff(0.3, 2.0, 7.0)
-                / theorem5_delta_eff_asymptotic(0.3, 2.0, 7.0) - 1)
+                / _theorem5_asymptote(0.3, 2.0, 7.0) - 1)
     assert gap14 < 0.05
 
 

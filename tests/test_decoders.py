@@ -12,17 +12,25 @@ from aqec.decoders import (
     _DP_DEFECT_CAP,
     _blossom_min_matching,
     _dp_min_matching,
-    apply_recovery,
     build_lookup,
 )
 from aqec.paulis import (
     PauliOperator,
     five_qubit_code,
     logical_class,
+    multiply,
     repetition_code,
     syndrome_of,
     toric_code,
 )
+
+
+def apply_recovery(dec, frame):
+    """Correct a frame from its syndrome: (residual, class), where the residual
+    correction * frame has zero syndrome and class has one letter per logical
+    qubit."""
+    residual = multiply(dec.correction(syndrome_of(dec.code, frame)), frame)
+    return residual, logical_class(dec.code, residual)
 
 
 def random_pauli(rng, n, letters="XYZ", p=0.2):
@@ -61,10 +69,13 @@ def test_lookup_correction_syndrome_postcondition():
 
 
 def test_lookup_correction_rejects_out_of_range_syndrome():
-    dec = build_lookup(five_qubit_code())
-    for s in (-1, 1 << len(dec.code.generators)):
-        with pytest.raises(ValueError, match="outside"):
-            dec.correction(s)
+    # the contract is the base class's, so every decoder kind raises alike
+    for dec in (build_lookup(five_qubit_code()), MwpmDecoder(toric_code(3)),
+                MajorityDecoder(repetition_code(5))):
+        r = len(dec.code.generators)
+        for s in (-1, 1 << r):
+            with pytest.raises(ValueError, match=rf"^syndrome {s} outside \[0, 2\^{r}\)$"):
+                dec.correction(s)
 
 
 def test_lookup_weight_le_radius_corrects():
@@ -211,7 +222,7 @@ def test_mwpm_residual_syndrome_zero_fuzz(L):
         frame = random_pauli(rng, n, p=float(rng.uniform(0.02, 0.4)))
         cx, cz = dec.correction_masks(frame.x_bits, frame.z_bits)
         rx, rz = frame.x_bits ^ cx, frame.z_bits ^ cz
-        assert dec.syndrome_bits(rx, rz) == 0
+        assert syndrome_of(code, PauliOperator(n, rx, rz)) == 0
 
 
 def test_mwpm_from_syndrome_matches_masks():
@@ -307,7 +318,7 @@ def test_mwpm_many_defects_uses_blossom():
         if len(dec.star_defects(x_bits)) <= 12:
             continue
         cx, _ = dec.correction_masks(x_bits, 0)
-        assert dec.syndrome_bits(x_bits ^ cx, 0) == 0
+        assert syndrome_of(code, PauliOperator(code.n, x_bits ^ cx, 0)) == 0
 
 
 # -- fuzz across decoders --------------------------------------------------------

@@ -470,18 +470,23 @@ def test_cli_run_nan_rate_exits_1(tmp_path):
     assert done.stderr.startswith("error: rates must be finite and nonnegative")
 
 
-@pytest.mark.parametrize("body,distinct", [
+_FIGE8_WINDOW = "n_values within one decade of the largest"
+
+
+@pytest.mark.parametrize("body,key,distinct", [
     # fit_start past t_max leaves no fit point; it used to leak a TypeError
-    ("experiment = fig6\nfit_start = 100.0\n", 0),
+    ("experiment = fig6\nfit_start = 100.0\n", "fit_start", 0),
     # one N or one kappa/Delta used to write a rank-deficient fit to the CSV
-    ("experiment = figE8\nn_values = 1000\n", 1),
-    ("experiment = figE7\nkd_values = 2.0\n", 1),
-], ids=["fig6_fit_past_t_max", "figE8_one_n", "figE7_one_kd"])
-def test_cli_run_degenerate_fit_exits_1(tmp_path, capsys, body, distinct):
+    ("experiment = figE8\nn_values = 1000\n", _FIGE8_WINDOW, 1),
+    ("experiment = figE7\nkd_values = 2.0\n", "kd_values", 1),
+    # two N more than a decade apart leave one N in the fit window
+    ("experiment = figE8\nn_values = 1000, 100000\n", _FIGE8_WINDOW, 1),
+], ids=["fig6_fit_past_t_max", "figE8_one_n", "figE7_one_kd", "figE8_n_decades_apart"])
+def test_cli_run_degenerate_fit_exits_1(tmp_path, capsys, body, key, distinct):
     cfg_path = _write(tmp_path / "c.cfg", body + f"out_dir = {tmp_path / 'out'}\n")
     assert cli.main(["run", cfg_path]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: need at least two distinct x, got {distinct}\n"
+    assert err == f"error: {key}: need at least two distinct x, got {distinct}\n"
 
 
 _MANIFEST_BODY = {"experiment": "appH", "params": {}, "seed": 1, "workers": 1,

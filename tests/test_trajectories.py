@@ -8,7 +8,7 @@ from scipy.special import gammainc
 
 from aqec import trajectories
 from aqec.bounds import BoundInputs, _first_run_cdf, p_exact_quadrature
-from aqec.decoders import MajorityDecoder, MwpmDecoder, apply_recovery, build_lookup
+from aqec.decoders import MajorityDecoder, MwpmDecoder, build_lookup
 from aqec.lindblad import (
     build_lindbladian,
     codespace_basis,
@@ -44,6 +44,8 @@ from aqec.trajectories import (
     frame_chain_rates,
     shard_rng,
 )
+
+from test_decoders import apply_recovery  # the whole-Pauli recovery oracle
 
 
 def test_params_properties():
