@@ -14,17 +14,19 @@ representative.  A subclass maps an in-range syndrome to the correction's
 ``bench/layers.py`` and ``bench/workloads.py`` call them.
 
 All tie-breaking is deterministic: lookup enumerates candidates by
-(weight, x_bits, z_bits) ascending; matching keeps the lowest-index partner
-among equal-cost pairings; paths run the vertical leg first, then the
-horizontal leg, and wrap toward increasing coordinates on exact-half ties.
+(weight, x_bits, z_bits) ascending; matching follows two rules, the subset DP
+up to 12 defects keeping the lowest-index partner among equal-cost pairings,
+and above 12 the pairs of networkx 3.6.1's blossom, whose scan and tie order
+``_blossom.py`` transcribes and freezes; paths run the vertical leg first,
+then the horizontal leg, and wrap toward increasing coordinates on exact-half
+ties.
 """
 
 from __future__ import annotations
 
 import itertools
 
-import networkx as nx
-
+from ._blossom import max_weight_matching
 from .paulis import PauliOperator, StabilizerCode, _toric_edges, syndrome_of
 
 __all__ = [
@@ -183,18 +185,16 @@ def _dp_min_matching(dist) -> list:
 
 
 def _blossom_min_matching(dist) -> list:
-    """Exact minimum-weight perfect matching by networkx blossom.
+    """Exact minimum-weight perfect matching by blossom (``_blossom``).
 
     Maximum-cardinality maximum-weight matching on weights 1 + max(w) - w,
-    the graph ``nx.min_weight_matching`` would build, built once here.
+    the graph networkx's ``min_weight_matching`` would build, so the pairs
+    are the ones networkx 3.6.1 returns.
     """
     m = len(dist)
     top = 1 + max(dist[i][j] for i in range(m) for j in range(i + 1, m))
-    g = nx.Graph()
-    g.add_weighted_edges_from(
-        (i, j, top - dist[i][j]) for i in range(m) for j in range(i + 1, m))
-    match = nx.max_weight_matching(g, maxcardinality=True)
-    return sorted(tuple(sorted(p)) for p in match)
+    mate = max_weight_matching([[top - d for d in row] for row in dist])
+    return [(i, j) for i, j in enumerate(mate) if i < j]
 
 
 class MwpmDecoder(Decoder):

@@ -14,8 +14,8 @@ and walks each block with one frame walk (_FrameEngine.walk_block) that steps
 through the event columns of all rows at once and reads the logical class out
 at given times.  The walk carries each frame only as phi = (syndrome, logical
 parity), one int that each error event XORs, and decodes once per distinct
-syndrome per shard.  A forced recovery, such as Assumption 2's recovery at
-every j*t, is one more label-0 event merged into the block.
+syndrome per decoder (_decode_memos).  A forced recovery, such as Assumption
+2's recovery at every j*t, is one more label-0 event merged into the block.
 
 The run-length violation sampler (estimate_faithful_violation) draws no
 event sequence.  A trajectory violates by t iff the label completing its
@@ -34,6 +34,7 @@ order, so results are bit-identical for any worker count.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -70,6 +71,7 @@ FRAME_BLOCK = 1024       # most rows drawn and walked at once
 BLOCK_EVENTS = 8192      # expected events per block; bounds the padded arrays
 VIOLATION_SHARD = 65536  # samples per shard in the run-length sampler
 CHAIN_MAX_STATES = 4096  # largest phi space frame_chain_rates exponentiates
+DECODE_MEMO_CAP = 200_000  # syndromes per decoder memo, cleared when full: 28 MB at toric L=8
 # numpy's largest Poisson mean; a row's event count is Poisson(gamma * horizon)
 POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
@@ -224,6 +226,12 @@ def _with_recoveries(ev_t: np.ndarray, ev_l: np.ndarray, times) -> tuple:
 
 # -- frame Monte Carlo core ---------------------------------------------------
 
+# decoder -> {syndrome: phi of its correction}.  phi of a correction depends
+# only on the code, the decoder and the logicals, so every engine on one
+# decoder shares a memo.  It lives here, not on the decoder, so a decoder
+# pickled to a worker carries none: each worker task starts empty.
+_decode_memos = weakref.WeakKeyDictionary()
+
 
 class _FrameEngine:
     """The frame walk on phi, with one decode per distinct syndrome.
@@ -249,22 +257,26 @@ class _FrameEngine:
         self.dtype = np.int64 if self.r + 2 * self.k < 63 else object
         # indexed by event label: 0 (a recovery) and the padding label XOR nothing
         self._label_phi = np.array([0, *self.jump_phi, 0], dtype=self.dtype)
-        self._memo = {}  # syndrome -> phi of its correction; one per shard
+        self._memo = _decode_memos.setdefault(decoder, {})
 
     def _recover(self, phi: np.ndarray) -> np.ndarray:
         """phi after one recovery: each entry XORs its syndrome's correction phi.
 
         Each distinct syndrome is looked up once, and decoded only if no
-        earlier walk of this engine decoded it.  A correction has the syndrome
+        earlier walk on this decoder decoded it.  A correction has the syndrome
         it corrects, so only its logical parity is computed.
         """
         syndromes, inverse = np.unique(phi & ((1 << self.r) - 1), return_inverse=True)
-        syndromes, memo = syndromes.tolist(), self._memo
-        for s in syndromes:
-            if s not in memo:
+        memo, corr = self._memo, []
+        for s in syndromes.tolist():
+            c = memo.get(s)
+            if c is None:
+                if len(memo) >= DECODE_MEMO_CAP:
+                    memo.clear()
                 c = self.decoder.correction(s)
-                memo[s] = s | anticommutation_bits(self.logicals, c) << self.r
-        corr = np.array([memo[s] for s in syndromes], dtype=self.dtype)
+                c = memo[s] = s | anticommutation_bits(self.logicals, c) << self.r
+            corr.append(c)
+        corr = np.array(corr, dtype=self.dtype)
         return phi ^ corr[inverse.reshape(phi.shape)]
 
     def classes(self, phi: np.ndarray) -> tuple:
@@ -306,7 +318,7 @@ def _epsilon_shard(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
                    params: PoissonParams, times: list, n_samples: int,
                    rng: np.random.Generator) -> np.ndarray:
     """Failure counts, shape (3 families, len(times))."""
-    engine = _FrameEngine(code, decoder, noise)  # one memo per shard bounds its size
+    engine = _FrameEngine(code, decoder, noise)
     fails = np.zeros((3, len(times)), dtype=np.int64)
     for ev_t, ev_l in _blocks(rng, n_samples, params, noise, times[-1]):
         fails += np.count_nonzero(_family_fails(*engine.walk_block(ev_t, ev_l, times)), axis=1)

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from aqec._blossom import max_weight_matching
 from aqec.decoders import (
     MajorityDecoder,
     MwpmDecoder,
@@ -185,6 +186,44 @@ def test_dp_matches_blossom_above_the_cap(m):
         dist = [[dec._dist[a][b] for b in defects] for a in defects]
         assert _matching_cost(dist, _dp_min_matching(dist)) == \
             _matching_cost(dist, _blossom_min_matching(dist))
+
+
+def _port_instances():
+    """Seeded matching instances: (W, dist), with dist None for tie-heavy random
+    weights W and the toric distances themselves otherwise (W is then None)."""
+    rng = np.random.default_rng(1986)
+    toric = {L: MwpmDecoder(toric_code(L)) for L in (4, 6, 8, 11)}
+    for _ in range(1000):
+        m = int(rng.integers(2, 41))
+        upper = np.triu(rng.integers(0, int(rng.choice([1, 2, 3, 10])) + 1, size=(m, m)), 1)
+        yield (upper + upper.T).tolist(), None
+    for i in range(1000):
+        dec = toric[(4, 6, 8, 11)[i % 4]]
+        m = 2 * int(rng.integers(7, min(30, dec._n_sites // 2) + 1))
+        defects = rng.choice(dec._n_sites, size=m, replace=False).tolist()
+        yield None, [[dec._dist[a][b] for b in defects] for a in defects]
+
+
+def test_blossom_port_returns_networkx_pairs():
+    # equal-cost ties are common on toroidal distances, so an exact matcher of
+    # another design would pick other pairs and move the decoder's output
+    import networkx as nx  # the test extra's oracle
+    count = 0
+    for W, dist in _port_instances():
+        g = nx.Graph()
+        if dist is None:
+            m = len(W)
+            g.add_weighted_edges_from((i, j, W[i][j]) for i in range(m) for j in range(i + 1, m))
+            want = nx.max_weight_matching(g, maxcardinality=True)
+            got = [(i, j) for i, j in enumerate(max_weight_matching(W)) if j is not None and i < j]
+        else:
+            m = len(dist)
+            g.add_weighted_edges_from((i, j, dist[i][j]) for i in range(m) for j in range(i + 1, m))
+            want = nx.min_weight_matching(g)
+            got = _blossom_min_matching(dist)
+        assert got == sorted(tuple(sorted(p)) for p in want)
+        count += 1
+    assert count == 2000
 
 
 def test_dp_accepts_numpy_float_matrix():

@@ -196,8 +196,7 @@ def test_verify_checks_params_checksum(tmp_path):
 # sha256 of every CSV the desk defaults write, recorded before the Pauli and
 # decoder layer was consolidated; a pure refactor keeps all of them.  fig6 is
 # left out: its digits come from an adaptive ODE solve and can move with the
-# scipy or BLAS build.  fig4b is left out for time: its desk run takes about
-# 45 s, against about 6 s for fig4a, the slowest one pinned.
+# scipy or BLAS build.
 _DESK_SHA256 = {
     "fig2": {
         "fig2_minima.csv": "c9ba23ad4a9f1e1fc2272b0d81d5598c233c0b564a16a1e9eb60b5ae0de9ac8a",
@@ -214,6 +213,9 @@ _DESK_SHA256 = {
     "fig4a": {
         "fig4a_L3.csv": "20b93a147d25520c8472e25382b99cc4c4e7d22692c4949dbec2348080ce1df8",
         "fig4a_L4.csv": "ca028c694475206d0bf0ca3fce87f6e91fa5a54f190748bba4ed5c9296433796",
+    },
+    "fig4b": {
+        "fig4b_interleaving.csv": "920ba493538e406efd0dfcf140cf02d87580e17e2b2df402f053a40fb98971a1",
     },
     "fig5a": {
         "fig5a_exact.csv": "81c89dd64558626ab56202fc0dac42774d8eac3cb7c66585ff391a05f745ab85",
@@ -468,6 +470,16 @@ def test_cli_run_nan_rate_exits_1(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 1
     assert done.stderr.startswith("error: rates must be finite and nonnegative")
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    # networkx is a test-only oracle; the package matches with its own blossom
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); import aqec.cli; "
+         "print('networkx' in sys.modules)", src],
+        capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
 
 
 _FIGE8_WINDOW = "n_values within one decade of the largest"

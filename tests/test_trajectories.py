@@ -795,6 +795,45 @@ def test_phi_walk_decodes_once_per_distinct_syndrome():
     assert len(seen) > 10
 
 
+def _counted_toric3():
+    """toric L=3 MWPM setup whose decoder records every syndrome it decodes."""
+    dec, noise, rates = _walk_setup("toric3_mwpm")
+    calls = []
+    correction = dec.correction
+
+    def counted(s):
+        calls.append(s)
+        return correction(s)
+
+    dec.correction = counted
+    return dec, noise, noise.params(*rates), calls
+
+
+def test_estimators_decode_once_per_distinct_syndrome_per_decoder():
+    dec, noise, params, calls = _counted_toric3()
+    kw = dict(times=[0.5, 1.0], n_samples=2 * FRAME_SHARD + 100, seed=61)
+    first = estimate_epsilon(dec.code, dec, noise, params, **kw)  # three shards
+    assert len(calls) == len(set(calls)) > 10
+    decoded = len(calls)
+    again = estimate_epsilon(dec.code, dec, noise, params, **kw)
+    assert len(calls) == decoded  # every syndrome of the second call is memoized
+    assert np.array_equal(first.per_family, again.per_family)
+    estimate_epsilon(dec.code, dec, noise, params, **dict(kw, seed=62))
+    assert len(calls) == len(set(calls)) > decoded
+
+
+def test_decode_memo_cap_keeps_outputs(monkeypatch):
+    kw = dict(times=[0.5, 1.0], n_samples=FRAME_SHARD + 100, seed=63)
+    dec, noise, params, _ = _counted_toric3()
+    want = estimate_epsilon(dec.code, dec, noise, params, **kw).per_family
+    monkeypatch.setattr(trajectories, "DECODE_MEMO_CAP", 4)
+    dec, noise, params, calls = _counted_toric3()
+    got = estimate_epsilon(dec.code, dec, noise, params, **kw).per_family
+    assert np.array_equal(got, want)
+    assert len(trajectories._decode_memos[dec]) <= 4
+    assert len(calls) > len(set(calls))  # cleared memos decoded some syndromes again
+
+
 # -- pinned estimator outputs: a pure refactor keeps every one of them -----------
 
 
