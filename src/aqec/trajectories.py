@@ -8,14 +8,16 @@ frame's syndrome and logical parity, and recoveries reduce to syndrome
 decoding.
 
 Every frame estimator draws a shard's samples in blocks of rows (_blocks:
-per row a Poisson count, then uniform times and uniform labels, padded into
-one array per block; at most FRAME_BLOCK rows and about BLOCK_EVENTS events)
-and walks each block with one frame walk (_FrameEngine.walk_block) that steps
-through the event columns of all rows at once and reads the logical class out
-at given times.  The walk carries each frame only as phi = (syndrome, logical
-parity), one int that each error event XORs, and decodes once per distinct
-syndrome per decoder (_decode_memos).  A forced recovery, such as Assumption
-2's recovery at every j*t, is one more label-0 event merged into the block.
+per row a Poisson count, then uniform times and uniform labels; at most
+FRAME_BLOCK rows and about BLOCK_EVENTS events).  A block is flat: each
+row's event count, then every row's events one row after another, with no
+padding.  One frame walk (_FrameEngine.walk_block) reads the logical class
+out of a whole block at given times, with no loop over rows or events: prefix
+XORs carry each frame as phi = (syndrome, logical parity), one int that each
+error event XORs, and one batched decode serves all of the block's
+recoveries, each distinct syndrome decoded once per decoder (_decode_memos).
+A forced recovery, such as Assumption 2's recovery at every j*t, is one more
+label-0 event inserted into every row.
 
 The run-length violation sampler (estimate_faithful_violation) draws no
 event sequence.  A trajectory violates by t iff the label completing its
@@ -68,7 +70,7 @@ __all__ = [
 
 FRAME_SHARD = 4096       # samples per shard in frame-tracking estimators
 FRAME_BLOCK = 1024       # most rows drawn and walked at once
-BLOCK_EVENTS = 8192      # expected events per block; bounds the padded arrays
+BLOCK_EVENTS = 8192      # expected events per block; bounds a block's arrays
 VIOLATION_SHARD = 65536  # samples per shard in the run-length sampler
 CHAIN_MAX_STATES = 4096  # largest phi space frame_chain_rates exponentiates
 DECODE_MEMO_CAP = 200_000  # syndromes per decoder memo, cleared when full: 28 MB at toric L=8
@@ -163,33 +165,32 @@ def _label_thresholds(params: PoissonParams, noise: NoiseModel) -> np.ndarray:
 
 def _draw_block(rng: np.random.Generator, rows: int, gamma: float, horizon: float,
                 cum) -> tuple:
-    """(times, labels) of rows trajectories on [0, horizon], each (rows, width).
+    """(counts, times, labels) of rows trajectories on [0, horizon].
 
     Row by row, in a fixed order: a Poisson(gamma*horizon) count k, then 2k
     uniforms, the first k of them times (sorted, then scaled by the horizon)
-    and the last k labels mapped through the thresholds cum.  Past its count
-    a row holds time inf and label len(cum), which names no event.  Nothing
-    is drawn when gamma or the horizon is 0.
+    and the last k labels mapped through the thresholds cum.  counts holds
+    each row's k; times and labels hold the rows' events one row after
+    another, sum(counts) of each.  Nothing is drawn when gamma or the
+    horizon is 0.
     """
     if gamma == 0 or horizon == 0:
-        return np.empty((rows, 0)), np.empty((rows, 0), dtype=np.int64)
+        return np.zeros(rows, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64)
     lam = gamma * horizon
     draws = [rng.random(2 * rng.poisson(lam)) for _ in range(rows)]
     counts = np.array([d.size for d in draws]) // 2
     flat = np.concatenate(draws)
-    del draws  # freed before the padded arrays are built
-    width = counts.max()
-    col = np.arange(2 * width)
-    # row by row, flat holds k times and then k label uniforms
-    is_time = (col < counts[:, None])[col < 2 * counts[:, None]]
-    filled = col[:width] < counts[:, None]
+    del draws  # freed before the block's arrays are built
+    # a row whose events start at event s holds its k times from flat[2s] on,
+    # then its k label uniforms
+    at = np.arange(counts.sum()) + np.repeat(np.cumsum(counts) - counts, counts)
+    # sorting each row is cheapest on a padded copy, dropped once sorted
+    filled = np.arange(counts.max()) < counts[:, None]
     times = np.full(filled.shape, np.inf)
-    times[filled] = flat[is_time]
+    times[filled] = flat[at]
     times.sort(axis=1)
-    times *= horizon
-    labels = np.full(filled.shape, len(cum))
-    labels[filled] = np.searchsorted(cum, flat[~is_time], side="right")
-    return times, labels
+    labels = np.searchsorted(cum, flat[at + np.repeat(counts, counts)], side="right")
+    return counts, times[filled] * horizon, labels
 
 
 def _require_drawable(gamma: float, horizon: float) -> None:
@@ -207,21 +208,36 @@ def _block_rows(gamma: float, horizon: float) -> int:
 
 def _blocks(rng: np.random.Generator, n_samples: int, params: PoissonParams,
             noise: NoiseModel, horizon: float):
-    """The (times, labels) blocks of n_samples trajectories on [0, horizon];
+    """The (counts, times, labels) blocks of n_samples trajectories on [0, horizon];
     draws are sequential, so splitting a shard into blocks changes no output."""
     cum = _label_thresholds(params, noise)
     for rows in _chunks(n_samples, _block_rows(params.gamma, horizon)):
         yield _draw_block(rng, rows, params.gamma, horizon, cum)
 
 
-def _with_recoveries(ev_t: np.ndarray, ev_l: np.ndarray, times) -> tuple:
-    """The block with a recovery (label 0) added to every row at each of
-    times; a stable sort puts it after the row's events at that time."""
-    rows, extra = len(ev_l), len(times)
-    ev_t = np.concatenate((ev_t, np.broadcast_to(times, (rows, extra))), axis=1)
-    ev_l = np.concatenate((ev_l, np.zeros((rows, extra), dtype=ev_l.dtype)), axis=1)
-    order = np.argsort(ev_t, axis=1, kind="stable")
-    return np.take_along_axis(ev_t, order, 1), np.take_along_axis(ev_l, order, 1)
+def _ends_at(counts: np.ndarray, ev_t: np.ndarray, times) -> np.ndarray:
+    """Shape (rows, len(times)): the flat index just past each row's events
+    at or before each of the nondecreasing times."""
+    rows, width = len(counts), len(times)
+    bins = np.repeat(np.arange(rows) * (width + 1), counts)
+    bins += np.searchsorted(times, ev_t, side="left")  # the first time at or after the event
+    # a row's events sit in time order, so its events up to a time come first
+    ends = np.cumsum(np.bincount(bins, minlength=rows * (width + 1)))
+    return ends.reshape(rows, width + 1)[:, :width]
+
+
+def _xor_prefix(a: np.ndarray) -> np.ndarray:
+    """[0, a[0], a[0] ^ a[1], ...]: XORs of a's first 0, 1, ..., len(a) entries."""
+    return np.concatenate((np.zeros(1, dtype=a.dtype), np.bitwise_xor.accumulate(a)))
+
+
+def _with_recoveries(counts: np.ndarray, ev_t: np.ndarray, ev_l: np.ndarray,
+                     times) -> tuple:
+    """The block with a recovery (label 0) inserted into every row at each of
+    the nondecreasing times, after the row's events at that time."""
+    at = _ends_at(counts, ev_t, times).ravel()
+    return (counts + len(times), np.insert(ev_t, at, np.tile(times, len(counts))),
+            np.insert(ev_l, at, 0))
 
 
 # -- frame Monte Carlo core ---------------------------------------------------
@@ -248,6 +264,9 @@ class _FrameEngine:
     def __init__(self, code: StabilizerCode, decoder: Decoder, noise: NoiseModel):
         if decoder.code is not code and decoder.code.name != code.name:
             raise ValueError("decoder bound to a different code")
+        if noise.n != code.n:
+            raise ValueError(f"noise model {noise.name} acts on {noise.n} qubits, "
+                             f"the code {code.name} on {code.n}")
         self.decoder = decoder
         self.r = len(code.generators)
         self.k = code.k
@@ -255,8 +274,8 @@ class _FrameEngine:
         checks = code.generators + self.logicals
         self.jump_phi = [anticommutation_bits(checks, e) for e in noise.jumps]
         self.dtype = np.int64 if self.r + 2 * self.k < 63 else object
-        # indexed by event label: 0 (a recovery) and the padding label XOR nothing
-        self._label_phi = np.array([0, *self.jump_phi, 0], dtype=self.dtype)
+        # indexed by event label: a recovery (label 0) XORs nothing
+        self._label_phi = np.array([0, *self.jump_phi], dtype=self.dtype)
         self._memo = _decode_memos.setdefault(decoder, {})
 
     def _recover(self, phi: np.ndarray) -> np.ndarray:
@@ -284,28 +303,38 @@ class _FrameEngine:
         return (((phi >> self.r) & ((1 << self.k) - 1)).astype(np.int64),
                 (phi >> (self.r + self.k)).astype(np.int64))
 
-    def walk_block(self, ev_t: np.ndarray, ev_l: np.ndarray, readouts) -> tuple:
-        """Logical classes (x, z) of a block of events, each an int64 array
-        of shape (rows, len(readouts)).
+    def walk_block(self, counts: np.ndarray, ev_t: np.ndarray, ev_l: np.ndarray,
+                   readouts) -> tuple:
+        """Logical classes (x, z) of a block (counts, ev_t, ev_l), each an
+        int64 array of shape (rows, len(readouts)).
 
         Each row's events are in time order.  An error event XORs the jump's
         phi into the frame's.  A recovery (label 0) multiplies the frame by
         the correction of its syndrome, i.e. XORs the correction's phi; the
         syndrome bits clear and the logical bits keep the residual's class,
-        which is coset-invariant (coset linearity).  A readout reads the class
-        of the frame after one more recovery, which it does not apply; it
-        takes phi after the row's events up to and at its time.  The walk
-        steps through the event columns, all rows at once.
+        which is coset-invariant (coset linearity).  A readout, at one of the
+        nondecreasing readouts, reads the class of the frame after one more
+        recovery, which it does not apply; it takes phi after the row's
+        events up to and at its time.
+
+        The walk runs on the flat events with prefix XORs and no loop.  A
+        correction has the syndrome it corrects, so a recovery leaves
+        syndrome 0 and sees the syndrome of the jumps since the row's
+        previous recovery (or its start).  One _recover call decodes every
+        recovery of the block, one more every readout; phi at a readout is
+        the prefix XOR of the row's jumps and corrections.
         """
-        at = np.count_nonzero(ev_t[:, None] <= np.reshape(readouts, (-1, 1)), axis=2)
-        phi = np.zeros((ev_l.shape[1] + 1, len(ev_l)), dtype=self.dtype)  # after each column
-        for c, lab in enumerate(ev_l.T):
-            col = phi[c] ^ self._label_phi[lab]
-            rec = np.flatnonzero(lab == 0)
-            if rec.size:
-                col[rec] = self._recover(col[rec])
-            phi[c + 1] = col
-        return self.classes(self._recover(phi[at, np.arange(len(ev_l))[:, None]]))
+        starts = np.cumsum(counts) - counts
+        steps = self._label_phi[ev_l]
+        jumps = _xor_prefix(steps)
+        rec = np.flatnonzero(ev_l == 0)
+        # the row's previous recovery (whose step is 0), or else the row's start
+        since = np.maximum(np.concatenate(([0], rec))[:-1], np.repeat(starts, counts)[rec])
+        seen = jumps[rec] ^ jumps[since]
+        steps[rec] = seen ^ self._recover(seen)  # the correction's phi
+        phi = _xor_prefix(steps)
+        ends = _ends_at(counts, ev_t, readouts)
+        return self.classes(self._recover(phi[ends] ^ phi[starts, None]))
 
 
 def _family_fails(tx: np.ndarray, tz: np.ndarray) -> np.ndarray:
@@ -320,8 +349,8 @@ def _epsilon_shard(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     """Failure counts, shape (3 families, len(times))."""
     engine = _FrameEngine(code, decoder, noise)
     fails = np.zeros((3, len(times)), dtype=np.int64)
-    for ev_t, ev_l in _blocks(rng, n_samples, params, noise, times[-1]):
-        fails += np.count_nonzero(_family_fails(*engine.walk_block(ev_t, ev_l, times)), axis=1)
+    for block in _blocks(rng, n_samples, params, noise, times[-1]):
+        fails += np.count_nonzero(_family_fails(*engine.walk_block(*block, times)), axis=1)
     return fails
 
 
@@ -486,9 +515,9 @@ def _assumption2_shard(code: StabilizerCode, decoder: Decoder, noise: NoiseModel
     engine = _FrameEngine(code, decoder, noise)
     forced = [j * t for j in range(1, m)]
     counts = np.zeros(3, dtype=np.int64)  # both: joint survivals, for the paired variance
-    for ev_t, ev_l in _blocks(rng, n_samples, params, noise, m * t):
-        sl = engine.walk_block(ev_t, ev_l, [m * t])[0][:, 0] == 0
-        sr = engine.walk_block(*_with_recoveries(ev_t, ev_l, forced), [m * t])[0][:, 0] == 0
+    for block in _blocks(rng, n_samples, params, noise, m * t):
+        sl = engine.walk_block(*block, [m * t])[0][:, 0] == 0
+        sr = engine.walk_block(*_with_recoveries(*block, forced), [m * t])[0][:, 0] == 0
         counts += np.count_nonzero([sl, sr, sl & sr], axis=1)
     return counts
 

@@ -83,6 +83,24 @@ def test_shard_rng_streams():
     assert not np.array_equal(a, d)
 
 
+def _padded(block, pad, width=None):
+    """A block as (times, labels) arrays of shape (rows, width): each row's
+    events, then time inf and label pad; width defaults to the longest row."""
+    counts, ev_t, ev_l = block
+    filled = np.arange(counts.max(initial=0) if width is None else width) < counts[:, None]
+    times = np.full(filled.shape, np.inf)
+    times[filled] = ev_t
+    labels = np.full(filled.shape, pad)
+    labels[filled] = ev_l
+    return times, labels
+
+
+def _block_of(times, labels):
+    """The block of padded (times, labels) arrays: the entries of finite time."""
+    drawn = np.isfinite(times)
+    return drawn.sum(axis=1), times[drawn], labels[drawn]
+
+
 def test_trajectory_moments_and_labels():
     # counts ~ Poisson(gamma t); recovery fraction ~ p0; each channel ~ 1/15
     # of the error labels
@@ -92,7 +110,7 @@ def test_trajectory_moments_and_labels():
     horizon = 2.0
     cum = _label_thresholds(params, noise)
     reps = 2000
-    times, labels = _draw_block(rng, reps, params.gamma, horizon, cum)
+    times, labels = _padded(_draw_block(rng, reps, params.gamma, horizon, cum), 16)
     assert times.shape == labels.shape and times.shape[0] == reps
     assert np.array_equal(np.sort(times, axis=1), times)
     drawn = np.isfinite(times)
@@ -116,14 +134,17 @@ def test_trajectory_degenerate():
     rng = shard_rng(0, "traj", 2)
     noise = NoiseModel.bit_flip(2)
     params = noise.params(0.0, 0.0)
-    times, labels = _draw_block(rng, 3, params.gamma, 5.0, _label_thresholds(params, noise))
+    times, labels = _padded(_draw_block(rng, 3, params.gamma, 5.0,
+                                        _label_thresholds(params, noise)), 3)
     assert times.shape == labels.shape == (3, 0)
     params = noise.params(1.0, 1.0)
-    times, _ = _draw_block(rng, 3, params.gamma, 0.0, _label_thresholds(params, noise))
+    times, _ = _padded(_draw_block(rng, 3, params.gamma, 0.0,
+                                   _label_thresholds(params, noise)), 3)
     assert times.shape == (3, 0)
     # kappa = 0 draws no recovery label
     params = noise.params(0.0, 0.5)
-    times, labels = _draw_block(rng, 50, params.gamma, 4.0, _label_thresholds(params, noise))
+    times, labels = _padded(_draw_block(rng, 50, params.gamma, 4.0,
+                                        _label_thresholds(params, noise)), 3)
     assert set(labels[np.isfinite(times)].tolist()) == {1, 2}
 
 
@@ -154,7 +175,8 @@ def test_draw_block_matches_sequential_draws(kappa, delta, horizon):
     want = _reference_draws(shard_rng(71, "draw", 0), 300, params.gamma, horizon, cum)
     rng = shard_rng(71, "draw", 0)
     # two blocks from one stream: splitting a shard into blocks changes no draw
-    got = [_draw_block(rng, rows, params.gamma, horizon, cum) for rows in (200, 100)]
+    got = [_padded(_draw_block(rng, rows, params.gamma, horizon, cum), noise.n_channels + 1)
+           for rows in (200, 100)]
     rows = [(t, lab) for times, labels in got for t, lab in zip(times, labels)]
     assert len(rows) == len(want)
     for (times, labels), (ref_t, ref_l) in zip(rows, want):
@@ -176,8 +198,8 @@ def test_draw_block_matches_sequential_draws(kappa, delta, horizon):
 
 
 def test_long_horizons_draw_smaller_blocks(monkeypatch):
-    # the padded arrays grow with gamma * horizon, so blocks shrink to keep
-    # their expected event count near BLOCK_EVENTS
+    # a block's arrays grow with rows * gamma * horizon, so blocks shrink to
+    # keep their expected event count near BLOCK_EVENTS
     assert _block_rows(0.0, 5.0) == FRAME_BLOCK
     assert _block_rows(1.0, BLOCK_EVENTS / FRAME_BLOCK) == FRAME_BLOCK
     assert _block_rows(2.0, 10.0) == BLOCK_EVENTS // 20
@@ -472,8 +494,8 @@ def test_zero_rates_draw_nothing_and_do_not_warn():
     params = noise.params(0.0, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        times, labels = _draw_block(shard_rng(0, "traj", 3), 4, params.gamma, 2.0,
-                                    _label_thresholds(params, noise))
+        times, labels = _padded(_draw_block(shard_rng(0, "traj", 3), 4, params.gamma, 2.0,
+                                            _label_thresholds(params, noise)), 16)
         assert times.shape == labels.shape == (4, 0)
         res = estimate_epsilon(code, dec, noise, params, [0.5, 1.0], 100, seed=1)
         assert np.all(res.estimate == 0.0)
@@ -709,17 +731,19 @@ def _walk_setup(name):
     return MwpmDecoder(code), NoiseModel.depolarizing(code.n), (2.0, 0.05)
 
 
-def _rows_of(ev_t, ev_l):
-    """The (times, labels) of each row of a drawn block, padding dropped."""
-    return [(t[np.isfinite(t)], lab[np.isfinite(t)]) for t, lab in zip(ev_t, ev_l)]
+def _rows_of(block):
+    """The (times, labels) of each row of a block."""
+    counts, ev_t, ev_l = block
+    cuts = np.cumsum(counts)[:-1]
+    return list(zip(np.split(ev_t, cuts), np.split(ev_l, cuts)))
 
 
-def _walked(engine, ev_t, ev_l, readouts, commit):
+def _walked(engine, block, readouts, commit):
     """The engine's classes at readouts; with commit, a recovery event is
     merged in at each readout, as the reference walk commits one there."""
     if commit:
-        return engine.walk_block(*_with_recoveries(ev_t, ev_l, readouts), readouts)
-    return engine.walk_block(ev_t, ev_l, readouts)
+        return engine.walk_block(*_with_recoveries(*block, readouts), readouts)
+    return engine.walk_block(*block, readouts)
 
 
 @pytest.mark.parametrize("commit", [False, True])
@@ -731,21 +755,93 @@ def test_phi_walk_matches_pauli_reference(name, commit):
     rng = shard_rng(53, name, int(commit))
     cum = _label_thresholds(params, noise)
     readouts = [0.3, 0.7, 1.0, 1.0, 1.6]
-    ev_t, ev_l = _draw_block(rng, 150, params.gamma, readouts[-1], cum)
-    tx, tz = _walked(engine, ev_t, ev_l, readouts, commit)
+    block = _draw_block(rng, 150, params.gamma, readouts[-1], cum)
+    tx, tz = _walked(engine, block, readouts, commit)
     assert tx.shape == tz.shape == (150, len(readouts))
     classes = set()
-    for i, (t, lab) in enumerate(_rows_of(ev_t, ev_l)):
+    for i, (t, lab) in enumerate(_rows_of(block)):
         want, _ = _reference_walk(dec, noise, t, lab, readouts, commit)
         assert list(zip(tx[i].tolist(), tz[i].tolist())) == want
         classes.update(want)
     assert len(classes) > 1  # some draws end in a logical flip
-    counts = [t.size for t, _ in _rows_of(ev_t, ev_l)]
-    assert min(counts) < max(counts)  # rows end in padding at different columns
+    counts = [t.size for t, _ in _rows_of(block)]
+    assert min(counts) < max(counts)  # rows hold different event counts
     if name == "toric3_mwpm":
         assert any(x and z for x, z in classes)  # both sectors, and Y
     else:
         assert 0 in counts  # and some rows draw no event
+
+
+@pytest.mark.parametrize("commit", [False, True])
+def test_wide_phi_walk_matches_pauli_reference(commit):
+    # toric L = 6 packs phi into 74 bits: the prefix XORs run on Python ints
+    code = toric_code(6)
+    noise = NoiseModel.depolarizing(code.n)
+    params = noise.params(2.0, 0.1)
+    engine = _FrameEngine(code, MwpmDecoder(code), noise)
+    assert engine.dtype is object
+    readouts = [0.3, 0.7, 1.0, 1.0, 1.6]
+    block = _draw_block(shard_rng(79, "wide", int(commit)), 60, params.gamma, readouts[-1],
+                        _label_thresholds(params, noise))
+    tx, tz = _walked(engine, block, readouts, commit)
+    ref_dec = MwpmDecoder(code)
+    classes = set()
+    for i, (t, lab) in enumerate(_rows_of(block)):
+        want, _ = _reference_walk(ref_dec, noise, t, lab, readouts, commit)
+        assert list(zip(tx[i].tolist(), tz[i].tolist())) == want
+        classes.update(want)
+    assert np.count_nonzero(block[2] == 0) > 100  # many recoveries mid-row
+    assert any(x and z for x, z in classes)
+
+
+@pytest.mark.parametrize("commit", [False, True])
+def test_phi_walk_edge_cases_match_pauli_reference(commit):
+    # rep-3 majority under bit flips: two flips between recoveries are a
+    # logical X.  Rows: no events; a recovery first; two recoveries in a
+    # row; two flips at t = 0.  Readouts at 0 and at event times.
+    code = repetition_code(3)
+    dec = MajorityDecoder(code)
+    noise = NoiseModel.bit_flip(3)
+    engine = _FrameEngine(code, dec, noise)
+    rows = [
+        ([], []),
+        ([0.0, 0.0, 0.3], [0, 1, 2]),
+        ([0.1, 0.3, 0.3, 0.5, 0.5], [1, 0, 0, 2, 3]),
+        ([0.0, 0.0], [1, 2]),
+    ]
+    block = (np.array([len(t) for t, _ in rows]),
+             np.array([x for t, _ in rows for x in t]),
+             np.array([x for _, lab in rows for x in lab], dtype=np.int64))
+    readouts = [0.0, 0.1, 0.3, 0.5, 1.0]
+    tx, tz = _walked(engine, block, readouts, commit)
+    got = [list(zip(x, z)) for x, z in zip(tx.tolist(), tz.tolist())]
+    want = [_reference_walk(dec, noise, t, lab, readouts, commit)[0] for t, lab in rows]
+    assert got == want
+    assert {c for row in want[1:] for c in row} == {(0, 0), (1, 0)}
+    # a block with no events reads the identity class everywhere
+    empty = (np.zeros(3, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64))
+    tx, tz = _walked(engine, empty, readouts, commit)
+    assert tx.shape == tz.shape == (3, len(readouts))
+    assert not tx.any() and not tz.any()
+    assert _reference_walk(dec, noise, [], [], readouts, commit)[0] == [(0, 0)] * len(readouts)
+
+
+def test_frame_engine_rejects_noise_on_another_qubit_count():
+    # depolarizing(7) on the five-qubit code: the two extra qubits' jumps
+    # commute with every check, and were walked as identity
+    code = five_qubit_code()
+    dec = build_lookup(code)
+    noise = NoiseModel.depolarizing(7)
+    params = noise.params(1.0, 0.1)
+    calls = [
+        lambda: estimate_epsilon(code, dec, noise, params, [1.0], 100, seed=1),
+        lambda: estimate_alpha(code, dec, noise, 0.5, 100, seed=1),
+        lambda: check_assumption2(code, dec, noise, params, t=0.3, m=2, n_samples=100, seed=1),
+        lambda: frame_chain_rates(code, dec, noise, params, [1.0]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="acts on 7 qubits, the code five_qubit on 5"):
+            call()
 
 
 def test_forced_recovery_follows_an_error_at_its_time():
@@ -757,14 +853,16 @@ def test_forced_recovery_follows_an_error_at_its_time():
     noise = NoiseModel.bit_flip(3)
     engine = _FrameEngine(code, dec, noise)
     ev_t, ev_l = np.array([[0.5, 1.0, np.inf]]), np.array([[1, 2, 4]])  # 4 pads
-    merged_t, merged_l = _with_recoveries(ev_t, ev_l, [1.0])
+    merged = _with_recoveries(*_block_of(ev_t, ev_l), [1.0])
+    merged_t, merged_l = _padded(merged, 4, width=4)
     assert merged_t.tolist() == [[0.5, 1.0, 1.0, np.inf]]
     assert merged_l.tolist() == [[1, 2, 0, 4]]
-    tx, tz = engine.walk_block(merged_t, merged_l, [1.0, 2.0])
+    tx, tz = engine.walk_block(*merged, [1.0, 2.0])
     assert (tx.tolist(), tz.tolist()) == ([[1, 1]], [[0, 0]])
     want, _ = _reference_walk(dec, noise, [0.5, 1.0], [1, 2], [1.0, 2.0], True)
     assert want == [(1, 0), (1, 0)]
-    assert engine.walk_block(merged_t, np.array([[1, 0, 2, 4]]), [2.0])[0].tolist() == [[0]]
+    swapped = _block_of(merged_t, np.array([[1, 0, 2, 4]]))
+    assert engine.walk_block(*swapped, [2.0])[0].tolist() == [[0]]
 
 
 def test_phi_walk_decodes_once_per_distinct_syndrome():
@@ -786,9 +884,9 @@ def test_phi_walk_decodes_once_per_distinct_syndrome():
     seen = set()
     # two blocks, one with recoveries merged in at the readouts, share the memo
     for rows, commit in ((120, True), (80, False)):
-        ev_t, ev_l = _draw_block(rng, rows, params.gamma, readouts[-1], cum)
-        _walked(engine, ev_t, ev_l, readouts, commit)
-        for t, lab in _rows_of(ev_t, ev_l):
+        block = _draw_block(rng, rows, params.gamma, readouts[-1], cum)
+        _walked(engine, block, readouts, commit)
+        for t, lab in _rows_of(block):
             seen |= _reference_walk(ref_dec, noise, t, lab, readouts, commit)[1]
     assert len(calls) == len(set(calls))
     assert set(calls) == seen
