@@ -5,13 +5,20 @@ minimum-weight perfect matching for the toric code (X and Z sectors decoded
 independently), and closed-form majority vote for the repetition code.
 A syndrome is an int in generator order: bit alpha is set iff the error
 anticommutes with generator alpha (``paulis.syndrome_of``).  The contract is
-held in ``Decoder.correction``: it accepts any s in [0, 2^(n-k)), raises
-``ValueError`` outside it, and returns a Hermitian Pauli whose syndrome is
-exactly s, so the frame after recovery is a zero-syndrome logical
-representative.  A subclass maps an in-range syndrome to the correction's
-(x, z) masks in ``_masks``.  The raw-frame methods ``correction_masks``,
+held in ``Decoder.corrections``, which decodes a batch of syndromes: it
+accepts any s in [0, 2^(n-k)), raises ``ValueError`` outside it, and returns
+for each s a Hermitian Pauli whose syndrome is exactly s, so the frame after
+recovery is a zero-syndrome logical representative.  ``correction(s)`` is
+that batch on one syndrome.  A subclass maps an in-range syndrome to the
+correction's (x, z) masks in ``_masks``, or a batch of them in
+``_batch_masks``.  The raw-frame methods ``correction_masks``,
 ``star_defects`` and ``plaquette_defects`` stay only because
 ``bench/layers.py`` and ``bench/workloads.py`` call them.
+
+The MWPM decoder solves a batch together: its syndromes are grouped by
+defect count, each group up to 12 defects is matched by one subset DP that
+takes one numpy step per popcount level over the whole group, and each
+correction XORs path masks cached per site pair.
 
 All tie-breaking is deterministic: lookup enumerates candidates by
 (weight, x_bits, z_bits) ascending; matching follows two rules, the subset DP
@@ -24,7 +31,10 @@ ties.
 
 from __future__ import annotations
 
+import functools
 import itertools
+
+import numpy as np
 
 from ._blossom import max_weight_matching
 from .paulis import PauliOperator, StabilizerCode, _toric_edges, syndrome_of
@@ -45,12 +55,24 @@ class Decoder:
     def __init__(self, code: StabilizerCode):
         self.code = code
 
+    def corrections(self, syndromes) -> list:
+        """Hermitian corrections (phase i^|x&z|), one per syndrome s of the
+        sequence syndromes, each with syndrome exactly s."""
+        r = len(self.code.generators)
+        for s in syndromes:
+            if not 0 <= s < 1 << r:
+                raise ValueError(f"syndrome {s} outside [0, 2^{r})")
+        n = self.code.n
+        return [PauliOperator(n, cx, cz, (cx & cz).bit_count())
+                for cx, cz in self._batch_masks(syndromes)]
+
     def correction(self, s: int) -> PauliOperator:
         """Hermitian correction (phase i^|x&z|) whose syndrome is exactly s."""
-        if not 0 <= s < 1 << len(self.code.generators):
-            raise ValueError(f"syndrome {s} outside [0, 2^{len(self.code.generators)})")
-        cx, cz = self._masks(s)
-        return PauliOperator(self.code.n, cx, cz, (cx & cz).bit_count())
+        return self.corrections([s])[0]
+
+    def _batch_masks(self, syndromes) -> list:
+        """(x, z) masks of the corrections for syndromes already in range."""
+        return [self._masks(s) for s in syndromes]
 
     def _masks(self, s: int) -> tuple:
         """(x, z) masks of the correction for a syndrome s already in range."""
@@ -135,53 +157,75 @@ class MajorityDecoder(Decoder):
 
 # -- toric MWPM --------------------------------------------------------------
 
-_DP_DEFECT_CAP = 12  # subset DP up to 12 defects (233 reachable subsets); blossom above
+_DP_DEFECT_CAP = 12  # batched subset DP up to 12 defects (233 reachable subsets); blossom above
+
+
+@functools.cache
+def _dp_plan(m: int) -> list:
+    """The subset DP's steps for m points, one per popcount level 2, 4, ..., m.
+
+    Only the subsets reachable from the full set by removing the lowest set
+    bit (the anchor) and one partner are solved: Fibonacci F(m+1) of them,
+    233 at m = 12.  A level is (anchors, partners, subs): for its i-th subset,
+    the anchor, the partners in ascending order, and for each partner the
+    index, in the level below, of the subset left after removing the pair.
+    """
+    def pairs_of(s):
+        rest = s & (s - 1)  # s without its anchor
+        return [(j, rest & ~(1 << j)) for j in range(m) if rest >> j & 1]
+
+    levels = [[(1 << m) - 1]]  # popcount m, m - 2, ..., 0
+    while levels[-1][0]:
+        levels.append(sorted({sub for s in levels[-1] for _, sub in pairs_of(s)}))
+    plan = []
+    for lower, upper in zip(levels[:0:-1], levels[-2::-1]):
+        index = {s: i for i, s in enumerate(lower)}
+        steps = [pairs_of(s) for s in upper]
+        plan.append((np.array([(s & -s).bit_length() - 1 for s in upper]),
+                     np.array([[j for j, _ in p] for p in steps]),
+                     np.array([[index[sub] for _, sub in p] for p in steps])))
+    return plan
+
+
+def _dp_matchings(dist: np.ndarray) -> np.ndarray:
+    """Exact minimum-weight perfect matchings of a batch by subset DP.
+
+    ``dist`` has shape (g, m, m), m even and positive; returns the pairs
+    (i, j), shape (g, m / 2, 2), in the order the anchors i are removed.
+    Bottom-up over _dp_plan's levels, one numpy step per level solves every
+    subset of the level for the whole batch.  Deterministic: a subset keeps
+    the first partner, in ascending order, that achieves the minimum
+    (``argmin``'s first occurrence).
+    """
+    g = len(dist)
+    plan = _dp_plan(dist.shape[1])
+    cost = np.zeros((g, 1), dtype=dist.dtype)
+    choices = []
+    for anchors, partners, subs in plan:
+        c = dist[:, anchors[:, None], partners] + cost[:, subs]
+        choices.append(c.argmin(axis=2))
+        cost = c.min(axis=2)
+    rows = np.arange(g)
+    at = np.zeros(g, dtype=np.intp)  # each batch entry's subset on the current level
+    pairs = np.empty((g, len(plan), 2), dtype=np.intp)
+    for t, ((anchors, partners, subs), choice) in enumerate(zip(plan[::-1], choices[::-1])):
+        k = choice[rows, at]
+        pairs[:, t, 0] = anchors[at]
+        pairs[:, t, 1] = partners[at, k]
+        at = subs[at, k]
+    return pairs
 
 
 def _dp_min_matching(dist) -> list:
-    """Exact minimum-weight perfect matching by subset DP.
+    """Exact minimum-weight perfect matching of one m x m matrix by subset DP.
 
-    Returns pairs (i, j).  Solves, top-down with a memo, only the subsets
-    reachable from the full set by removing the lowest set bit (the anchor)
-    and one partner: Fibonacci F(m+1) of them, 233 at m = 12.  Deterministic:
-    partners are scanned from the low bits up and the first one achieving the
-    minimum is kept.  ``dist`` is any m x m indexable, a numpy array included.
+    Returns pairs (i, j): _dp_matchings on a batch of one.  ``dist`` is any
+    m x m indexable, a numpy array included.
     """
-    best = {0: 0}
-    choice = {}
-
-    def solve(s):
-        low = s & -s
-        i = low.bit_length() - 1
-        row = dist[i]
-        rest = s ^ low
-        b = None
-        t = rest
-        while t:
-            bit = t & -t
-            t ^= bit
-            sub = rest ^ bit
-            c = best.get(sub)
-            if c is None:
-                c = solve(sub)
-            j = bit.bit_length() - 1
-            c = row[j] + c
-            if b is None or c < b:
-                b, ch = c, j
-        best[s] = b
-        choice[s] = ch
-        return b
-
-    s = (1 << len(dist)) - 1
-    if s:
-        solve(s)
-    pairs = []
-    while s:
-        i = (s & -s).bit_length() - 1
-        j = choice[s]
-        pairs.append((i, j))
-        s ^= (1 << i) | (1 << j)
-    return pairs
+    dist = np.asarray(dist)
+    if not len(dist):
+        return []
+    return [tuple(p) for p in _dp_matchings(dist[None]).tolist()[0]]
 
 
 def _blossom_min_matching(dist) -> list:
@@ -219,6 +263,9 @@ class MwpmDecoder(Decoder):
         self._dist = [[ring[(r1 - r2) % L] + ring[(c1 - c2) % L]
                        for r2 in range(L) for c2 in range(L)]
                       for r1 in range(L) for c1 in range(L)]
+        self._dist_array = np.array(self._dist, dtype=np.int32)
+        # sector -> {a * L^2 + b: edge mask of _path(a, b)}, filled on first use
+        self._paths = {"star": {}, "plaquette": {}}
 
     # -- defect extraction ---------------------------------------------------
 
@@ -231,13 +278,20 @@ class MwpmDecoder(Decoder):
         return self._defects_from_syndrome(s, "plaquette")
 
     def _defects_from_syndrome(self, bits: int, sector: str) -> list:
-        # generator order drops the last vertex/face; restore it by parity
+        return np.flatnonzero(self._defect_bits([bits])[int(sector == "plaquette"), 0]).tolist()
+
+    def _defect_bits(self, syndromes) -> np.ndarray:
+        """Shape (2, len(syndromes), L^2) of 0/1: [0, i, a] is 1 iff vertex a
+        is a star defect of syndromes[i], and [1, i, a] iff face a is a
+        plaquette defect."""
         n_stars = self._n_sites - 1
-        offset = 0 if sector == "star" else n_stars
-        defects = [i for i in range(n_stars) if (bits >> (offset + i)) & 1]
-        if len(defects) & 1:
-            defects.append(self._n_sites - 1)
-        return defects
+        width = (2 * n_stars + 7) // 8
+        raw = np.frombuffer(b"".join(s.to_bytes(width, "little") for s in syndromes),
+                            dtype=np.uint8).reshape(len(syndromes), width)
+        bits = np.unpackbits(raw, axis=1, count=2 * n_stars, bitorder="little")
+        bits = bits.reshape(len(syndromes), 2, n_stars).transpose(1, 0, 2)
+        # generator order drops the last vertex/face; restore it by parity
+        return np.concatenate((bits, np.bitwise_xor.reduce(bits, axis=2, keepdims=True)), axis=2)
 
     # -- geometry --------------------------------------------------------------
 
@@ -275,28 +329,53 @@ class MwpmDecoder(Decoder):
 
     # -- matching ---------------------------------------------------------------
 
-    def _match(self, defects: list) -> list:
-        m = len(defects)
-        if m == 0:
-            return []
+    def _matched_masks(self, defects: np.ndarray, sector: str) -> list:
+        """Correction masks of one sector, one per row of defects (site
+        lists of one length m): the XOR of the cached paths between the pairs
+        of the row's minimum-weight matching, by subset DP up to
+        _DP_DEFECT_CAP defects and by blossom above."""
+        g, m = defects.shape
         if m % 2:
             raise ValueError("odd defect count; syndrome not error-generated")
-        rows = [self._dist[a] for a in defects]
-        dist = [[row[b] for b in defects] for row in rows]
-        pairs = _dp_min_matching(dist) if m <= _DP_DEFECT_CAP else _blossom_min_matching(dist)
-        return [(defects[i], defects[j]) for i, j in pairs]
+        if m == 0:
+            return [0] * g
+        dist = self._dist_array[defects[:, :, None], defects[:, None, :]]
+        if m <= _DP_DEFECT_CAP:
+            pairs = _dp_matchings(dist)
+        else:
+            pairs = np.array([_blossom_min_matching(d) for d in dist.tolist()])
+        ends = np.take_along_axis(defects, pairs.reshape(g, m), axis=1)
+        n_sites = self._n_sites
+        paths = self._paths[sector]
+        geometry = (self._v, self._h, 0) if sector == "star" else (self._h, self._v, 1)
+        masks = []
+        for keys in (ends[:, 0::2] * n_sites + ends[:, 1::2]).tolist():
+            mask = 0
+            for key in keys:
+                path = paths.get(key)
+                if path is None:
+                    path = paths[key] = self._path(*divmod(key, n_sites), *geometry)
+                mask ^= path
+            masks.append(mask)
+        return masks
 
     def sector_correction_mask(self, defects: list, sector: str) -> int:
-        geometry = (self._v, self._h, 0) if sector == "star" else (self._h, self._v, 1)
-        mask = 0
-        for a, b in self._match(defects):
-            mask ^= self._path(a, b, *geometry)
-        return mask
+        return self._matched_masks(np.array(defects, dtype=np.intp).reshape(1, -1), sector)[0]
 
     # bound in the class dict so tracers can wrap it per decoder class
     correction_masks = Decoder.correction_masks
 
-    def _masks(self, s: int) -> tuple:
-        cx = self.sector_correction_mask(self._defects_from_syndrome(s, "star"), "star")
-        cz = self.sector_correction_mask(self._defects_from_syndrome(s, "plaquette"), "plaquette")
-        return cx, cz
+    def _batch_masks(self, syndromes) -> list:
+        """Decodes each sector's syndromes grouped by defect count, one
+        _matched_masks call per group."""
+        sectors = []
+        for bits, sector in zip(self._defect_bits(syndromes), ("star", "plaquette")):
+            counts = bits.sum(axis=1)
+            masks = [0] * len(bits)
+            for m in np.unique(counts[counts > 0]).tolist():
+                rows = np.flatnonzero(counts == m)
+                defects = np.nonzero(bits[rows])[1].reshape(len(rows), m)
+                for i, mask in zip(rows.tolist(), self._matched_masks(defects, sector)):
+                    masks[i] = mask
+            sectors.append(masks)
+        return list(zip(*sectors))

@@ -214,9 +214,8 @@ def stabilizer_recovery(code: StabilizerCode, decoder) -> KrausChannel:
     gens = [pauli_matrix(g) for g in code.generators]
     eye = np.eye(2**code.n, dtype=complex)
     kraus = []
-    for s in range(1 << len(gens)):
-        corr = pauli_matrix(decoder.correction(s))
-        kraus.append(corr @ _sector_projector(eye, gens, s))
+    for s, corr in enumerate(decoder.corrections(range(1 << len(gens)))):
+        kraus.append(pauli_matrix(corr) @ _sector_projector(eye, gens, s))
     return KrausChannel(tuple(kraus))
 
 

@@ -15,7 +15,9 @@ padding.  One frame walk (_FrameEngine.walk_block) reads the logical class
 out of a whole block at given times, with no loop over rows or events: prefix
 XORs carry each frame as phi = (syndrome, logical parity), one int that each
 error event XORs, and one batched decode serves all of the block's
-recoveries, each distinct syndrome decoded once per decoder (_decode_memos).
+recoveries, each distinct syndrome decoded once per decoder (_decode_memos):
+the syndromes the memo misses go to the decoder together, in one
+Decoder.corrections call, which the MWPM decoder solves as a batch.
 A forced recovery, such as Assumption 2's recovery at every j*t, is one more
 label-0 event inserted into every row.
 
@@ -36,6 +38,7 @@ order, so results are bit-identical for any worker count.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -281,20 +284,24 @@ class _FrameEngine:
     def _recover(self, phi: np.ndarray) -> np.ndarray:
         """phi after one recovery: each entry XORs its syndrome's correction phi.
 
-        Each distinct syndrome is looked up once, and decoded only if no
-        earlier walk on this decoder decoded it.  A correction has the syndrome
-        it corrects, so only its logical parity is computed.
+        Each distinct syndrome is looked up once, and the ones no earlier
+        walk on this decoder decoded are decoded together, in one
+        corrections call.  A correction has the syndrome it corrects, so only
+        its logical parity is computed.  The memo is cleared when the misses
+        would take it past DECODE_MEMO_CAP, and stores at most that many.
         """
         syndromes, inverse = np.unique(phi & ((1 << self.r) - 1), return_inverse=True)
-        memo, corr = self._memo, []
-        for s in syndromes.tolist():
-            c = memo.get(s)
-            if c is None:
-                if len(memo) >= DECODE_MEMO_CAP:
-                    memo.clear()
-                c = self.decoder.correction(s)
-                c = memo[s] = s | anticommutation_bits(self.logicals, c) << self.r
-            corr.append(c)
+        memo = self._memo
+        keys = syndromes.tolist()
+        corr = [memo.get(s) for s in keys]
+        missing = [s for s, c in zip(keys, corr) if c is None]
+        if missing:
+            fresh = {s: s | anticommutation_bits(self.logicals, c) << self.r
+                     for s, c in zip(missing, self.decoder.corrections(missing))}
+            corr = [fresh[s] if c is None else c for s, c in zip(keys, corr)]
+            if len(memo) + len(fresh) > DECODE_MEMO_CAP:
+                memo.clear()
+            memo.update(itertools.islice(fresh.items(), DECODE_MEMO_CAP))
         corr = np.array(corr, dtype=self.dtype)
         return phi ^ corr[inverse.reshape(phi.shape)]
 

@@ -12,6 +12,7 @@ from aqec.decoders import (
     MwpmDecoder,
     _DP_DEFECT_CAP,
     _blossom_min_matching,
+    _dp_matchings,
     _dp_min_matching,
     build_lookup,
 )
@@ -77,6 +78,9 @@ def test_lookup_correction_rejects_out_of_range_syndrome():
         for s in (-1, 1 << r):
             with pytest.raises(ValueError, match=rf"^syndrome {s} outside \[0, 2\^{r}\)$"):
                 dec.correction(s)
+            # a batch raises alike for the one syndrome out of range
+            with pytest.raises(ValueError, match=rf"^syndrome {s} outside \[0, 2\^{r}\)$"):
+                dec.corrections([0, 1, s, (1 << r) - 1])
 
 
 def test_lookup_weight_le_radius_corrects():
@@ -224,6 +228,110 @@ def test_blossom_port_returns_networkx_pairs():
         assert got == sorted(tuple(sorted(p)) for p in want)
         count += 1
     assert count == 2000
+
+
+def _recursive_dp_min_matching(dist, last_tie=False) -> list:
+    """Top-down subset DP with a memo, the engine the batched DP replaced: the
+    reference for its pairs.  Partners are scanned from the low bits up, and
+    the first one achieving the minimum is kept (the last one with last_tie)."""
+    best = {0: 0}
+    choice = {}
+
+    def solve(s):
+        low = s & -s
+        i = low.bit_length() - 1
+        rest = s ^ low
+        b = None
+        t = rest
+        while t:
+            bit = t & -t
+            t ^= bit
+            sub = rest ^ bit
+            c = best.get(sub)
+            if c is None:
+                c = solve(sub)
+            j = bit.bit_length() - 1
+            c = dist[i][j] + c
+            if b is None or c < b or (last_tie and c == b):
+                b, ch = c, j
+        best[s] = b
+        choice[s] = ch
+        return b
+
+    s = (1 << len(dist)) - 1
+    if s:
+        solve(s)
+    pairs = []
+    while s:
+        i = (s & -s).bit_length() - 1
+        j = choice[s]
+        pairs.append((i, j))
+        s ^= (1 << i) | (1 << j)
+    return pairs
+
+
+@pytest.mark.parametrize("L", [4, 6, 8])
+def test_batched_dp_keeps_the_recursive_dp_pairs(L):
+    # toroidal distances tie often, so another partner order or tie rule
+    # picks other pairs of equal cost
+    dec = MwpmDecoder(toric_code(L))
+    rng = np.random.default_rng(700 + L)
+    ties = 0
+    for m in range(2, _DP_DEFECT_CAP + 1, 2):
+        dist = [[[dec._dist[a][b] for b in defects] for a in defects]
+                for defects in (rng.choice(L * L, size=m, replace=False) for _ in range(40))]
+        want = [_recursive_dp_min_matching(d) for d in dist]
+        assert [_dp_min_matching(d) for d in dist] == want  # batches of one
+        assert [list(map(tuple, p)) for p in _dp_matchings(np.array(dist)).tolist()] == want
+        ties += sum(_recursive_dp_min_matching(d, last_tie=True) != w for d, w in zip(dist, want))
+    assert ties > 40
+
+
+def test_batched_dp_keeps_the_recursive_dp_pairs_on_floats():
+    rng = np.random.default_rng(23)
+    for m in range(2, _DP_DEFECT_CAP + 1, 2):
+        a = rng.uniform(0.0, 5.0, size=(20, m, m))
+        dist = a + a.transpose(0, 2, 1)
+        want = [_recursive_dp_min_matching(d) for d in dist]
+        assert [list(map(tuple, p)) for p in _dp_matchings(dist).tolist()] == want
+
+
+def _reference_masks(dec, s):
+    """(x, z) correction masks of syndrome s from the recursive DP (blossom
+    above the cap) and freshly walked paths."""
+    masks = []
+    for sector, geometry in (("star", (dec._v, dec._h, 0)), ("plaquette", (dec._h, dec._v, 1))):
+        defects = dec._defects_from_syndrome(s, sector)
+        dist = [[dec._dist[a][b] for b in defects] for a in defects]
+        match = _recursive_dp_min_matching if len(defects) <= _DP_DEFECT_CAP else _blossom_min_matching
+        mask = 0
+        for i, j in match(dist) if defects else []:
+            mask ^= dec._path(defects[i], defects[j], *geometry)
+        masks.append(mask)
+    return tuple(masks)
+
+
+@pytest.mark.parametrize("L", [4, 6])
+def test_corrections_batch_mixes_defect_counts(L):
+    # one corrections call holds syndromes of every defect count up to past
+    # the cap in both sectors, so DP groups and blossom decodes share it
+    dec = MwpmDecoder(toric_code(L))
+    rng = np.random.default_rng(800 + L)
+    last = L * L - 1  # the site generator order drops
+
+    def bits(sites, offset):
+        return sum(1 << (offset + a) for a in sites if a != last)
+
+    syndromes = []
+    for _ in range(150):
+        star, plaquette = (rng.choice(L * L, size=2 * int(rng.integers(0, 8)), replace=False)
+                           for _ in range(2))
+        syndromes.append(bits(star.tolist(), 0) | bits(plaquette.tolist(), last))
+    counts = {len(dec._defects_from_syndrome(s, "star")) for s in syndromes}
+    assert counts == set(range(0, 16, 2))
+    got = dec.corrections(syndromes)
+    assert [(c.x_bits, c.z_bits) for c in got] == [_reference_masks(dec, s) for s in syndromes]
+    assert [c.x_bits for c in dec.corrections(syndromes[:1])] == [got[0].x_bits]
 
 
 def test_dp_accepts_numpy_float_matrix():

@@ -870,13 +870,13 @@ def test_phi_walk_decodes_once_per_distinct_syndrome():
     ref_dec = _walk_setup("toric3_mwpm")[0]  # its decodes are not counted
     params = noise.params(*rates)
     calls = []
-    correction = dec.correction
+    corrections = dec.corrections
 
-    def counted(s):
-        calls.append(s)
-        return correction(s)
+    def counted(syndromes):
+        calls.extend(syndromes)
+        return corrections(syndromes)
 
-    dec.correction = counted
+    dec.corrections = counted
     engine = _FrameEngine(dec.code, dec, noise)  # one engine, as in one shard
     rng = shard_rng(59, "count", 0)
     cum = _label_thresholds(params, noise)
@@ -897,13 +897,13 @@ def _counted_toric3():
     """toric L=3 MWPM setup whose decoder records every syndrome it decodes."""
     dec, noise, rates = _walk_setup("toric3_mwpm")
     calls = []
-    correction = dec.correction
+    corrections = dec.corrections
 
-    def counted(s):
-        calls.append(s)
-        return correction(s)
+    def counted(syndromes):
+        calls.extend(syndromes)
+        return corrections(syndromes)
 
-    dec.correction = counted
+    dec.corrections = counted
     return dec, noise, noise.params(*rates), calls
 
 
@@ -958,3 +958,10 @@ def test_estimator_outputs_pinned():
         0.9683031458531935, 0.9921353670162059, 0.002402410572648519, True)
     a = estimate_alpha(code, MwpmDecoder(code), noise, 0.3, n, seed=73)
     assert (a.estimate[0], a.stderr[0]) == (0.6029551954242135, 0.007553435757229894)
+    # toric L=6 alpha, where 6 to 28 defects split one batch between the DP
+    # and the blossom
+    code = toric_code(6)
+    noise = NoiseModel.bit_flip(code.n)
+    flips = [estimate_alpha(code, MwpmDecoder(code), noise, tau, 1000, seed=seed).estimate[0] * 1000
+             for tau, seed in ((0.2, 83), (0.3, 89))]
+    assert np.rint(flips).astype(int).tolist() == [589, 744]
