@@ -16,14 +16,14 @@ correction's (x, z) masks in ``_masks``, or a batch of them in
 ``bench/layers.py`` and ``bench/workloads.py`` call them.
 
 The MWPM decoder solves a batch together: its syndromes are grouped by
-defect count, each group up to 12 defects is matched by one subset DP that
+defect count, each group up to 16 defects is matched by one subset DP that
 takes one numpy step per popcount level over the whole group, and each
 correction XORs path masks cached per site pair.
 
 All tie-breaking is deterministic: lookup enumerates candidates by
 (weight, x_bits, z_bits) ascending; matching follows two rules, the subset DP
-up to 12 defects keeping the lowest-index partner among equal-cost pairings,
-and above 12 the pairs of networkx 3.6.1's blossom, whose scan and tie order
+up to 16 defects keeping the lowest-index partner among equal-cost pairings,
+and above 16 the pairs of networkx 3.6.1's blossom, whose scan and tie order
 ``_blossom.py`` transcribes and freezes; paths run the vertical leg first,
 then the horizontal leg, and wrap toward increasing coordinates on exact-half
 ties.
@@ -157,7 +157,8 @@ class MajorityDecoder(Decoder):
 
 # -- toric MWPM --------------------------------------------------------------
 
-_DP_DEFECT_CAP = 12  # batched subset DP up to 12 defects (233 reachable subsets); blossom above
+_DP_DEFECT_CAP = 16  # batched subset DP up to 16 defects (1,597 reachable subsets); blossom above
+_DP_CHUNK_ENTRIES = 1 << 17  # (row, subset, partner) entries one DP step holds: bounds its memory
 
 
 @functools.cache
@@ -166,7 +167,8 @@ def _dp_plan(m: int) -> list:
 
     Only the subsets reachable from the full set by removing the lowest set
     bit (the anchor) and one partner are solved: Fibonacci F(m+1) of them,
-    233 at m = 12.  A level is (anchors, partners, subs): for its i-th subset,
+    1,597 at m = 16, whose widest level holds 3,465 (subset, partner)
+    entries.  A level is (anchors, partners, subs): for its i-th subset,
     the anchor, the partners in ascending order, and for each partner the
     index, in the level below, of the subset left after removing the pair.
     """
@@ -192,21 +194,34 @@ def _dp_matchings(dist: np.ndarray) -> np.ndarray:
 
     ``dist`` has shape (g, m, m), m even and positive; returns the pairs
     (i, j), shape (g, m / 2, 2), in the order the anchors i are removed.
-    Bottom-up over _dp_plan's levels, one numpy step per level solves every
-    subset of the level for the whole batch.  Deterministic: a subset keeps
+    The batch is solved in chunks of rows, each small enough that a level's
+    (rows, subsets, partners) array holds at most _DP_CHUNK_ENTRIES entries.
+    """
+    plan = _dp_plan(dist.shape[1])
+    rows = max(1, _DP_CHUNK_ENTRIES // max(partners.size for _, partners, _ in plan))
+    return np.concatenate([_dp_chunk(dist[lo:lo + rows], plan)
+                           for lo in range(0, len(dist), rows)])
+
+
+def _dp_chunk(dist: np.ndarray, plan: list) -> np.ndarray:
+    """_dp_matchings on one chunk of rows.
+
+    Bottom-up over the plan's levels, one numpy step per level solves every
+    subset of the level for the whole chunk.  Deterministic: a subset keeps
     the first partner, in ascending order, that achieves the minimum
-    (``argmin``'s first occurrence).
+    (``argmin``'s first occurrence).  A subset has m - 1 partners at most,
+    far fewer than 256 at any m whose plan fits in memory, so the choices
+    are stored as uint8.
     """
     g = len(dist)
-    plan = _dp_plan(dist.shape[1])
     cost = np.zeros((g, 1), dtype=dist.dtype)
     choices = []
     for anchors, partners, subs in plan:
         c = dist[:, anchors[:, None], partners] + cost[:, subs]
-        choices.append(c.argmin(axis=2))
+        choices.append(c.argmin(axis=2).astype(np.uint8))
         cost = c.min(axis=2)
     rows = np.arange(g)
-    at = np.zeros(g, dtype=np.intp)  # each batch entry's subset on the current level
+    at = np.zeros(g, dtype=np.intp)  # each row's subset on the current level
     pairs = np.empty((g, len(plan), 2), dtype=np.intp)
     for t, ((anchors, partners, subs), choice) in enumerate(zip(plan[::-1], choices[::-1])):
         k = choice[rows, at]

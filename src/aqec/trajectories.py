@@ -8,7 +8,8 @@ frame's syndrome and logical parity, and recoveries reduce to syndrome
 decoding.
 
 Every frame estimator draws a shard's samples in blocks of rows (_blocks:
-per row a Poisson count, then uniform times and uniform labels; at most
+first every row's Poisson event count in one call, then per block one call
+for the uniforms, each row's times followed by its labels; at most
 FRAME_BLOCK rows and about BLOCK_EVENTS events).  A block is flat: each
 row's event count, then every row's events one row after another, with no
 padding.  One frame walk (_FrameEngine.walk_block) reads the logical class
@@ -166,27 +167,24 @@ def _label_thresholds(params: PoissonParams, noise: NoiseModel) -> np.ndarray:
     return cum
 
 
-def _draw_block(rng: np.random.Generator, rows: int, gamma: float, horizon: float,
+def _draw_block(rng: np.random.Generator, counts: np.ndarray, horizon: float,
                 cum) -> tuple:
-    """(counts, times, labels) of rows trajectories on [0, horizon].
+    """(counts, times, labels) of len(counts) trajectories on [0, horizon],
+    the i-th with counts[i] events.
 
-    Row by row, in a fixed order: a Poisson(gamma*horizon) count k, then 2k
-    uniforms, the first k of them times (sorted, then scaled by the horizon)
-    and the last k labels mapped through the thresholds cum.  counts holds
-    each row's k; times and labels hold the rows' events one row after
-    another, sum(counts) of each.  Nothing is drawn when gamma or the
-    horizon is 0.
+    One call draws 2 * sum(counts) uniforms, row by row: each row's k times
+    (sorted, then scaled by the horizon), then its k labels mapped through
+    the thresholds cum.  times and labels hold the rows' events one row
+    after another, sum(counts) of each.  Nothing is drawn when no row has an
+    event.
     """
-    if gamma == 0 or horizon == 0:
-        return np.zeros(rows, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64)
-    lam = gamma * horizon
-    draws = [rng.random(2 * rng.poisson(lam)) for _ in range(rows)]
-    counts = np.array([d.size for d in draws]) // 2
-    flat = np.concatenate(draws)
-    del draws  # freed before the block's arrays are built
+    total = int(counts.sum())
+    if total == 0:
+        return counts, np.empty(0), np.empty(0, dtype=np.int64)
+    flat = rng.random(2 * total)
     # a row whose events start at event s holds its k times from flat[2s] on,
     # then its k label uniforms
-    at = np.arange(counts.sum()) + np.repeat(np.cumsum(counts) - counts, counts)
+    at = np.arange(total) + np.repeat(np.cumsum(counts) - counts, counts)
     # sorting each row is cheapest on a padded copy, dropped once sorted
     filled = np.arange(counts.max()) < counts[:, None]
     times = np.full(filled.shape, np.inf)
@@ -197,7 +195,7 @@ def _draw_block(rng: np.random.Generator, rows: int, gamma: float, horizon: floa
 
 
 def _require_drawable(gamma: float, horizon: float) -> None:
-    """Raises unless _draw_block can draw Poisson(gamma * horizon) counts."""
+    """Raises unless _blocks can draw Poisson(gamma * horizon) counts."""
     if not gamma * horizon <= POISSON_LAM_MAX:
         raise ValueError(f"gamma * horizon = {gamma * horizon:.3g} expected events per "
                          f"trajectory exceeds the Poisson sampler's limit {POISSON_LAM_MAX:.3g}")
@@ -211,11 +209,19 @@ def _block_rows(gamma: float, horizon: float) -> int:
 
 def _blocks(rng: np.random.Generator, n_samples: int, params: PoissonParams,
             noise: NoiseModel, horizon: float):
-    """The (counts, times, labels) blocks of n_samples trajectories on [0, horizon];
-    draws are sequential, so splitting a shard into blocks changes no output."""
+    """The (counts, times, labels) blocks of n_samples trajectories on [0, horizon].
+
+    One call draws every row's Poisson(gamma * horizon) event count, then
+    each block draws its rows' times and labels (_draw_block), in row order;
+    the stream is the same for any block size, so splitting a shard into
+    blocks changes no output.  Nothing is drawn when gamma or the horizon
+    is 0.
+    """
     cum = _label_thresholds(params, noise)
-    for rows in _chunks(n_samples, _block_rows(params.gamma, horizon)):
-        yield _draw_block(rng, rows, params.gamma, horizon, cum)
+    counts = rng.poisson(params.gamma * horizon, n_samples)  # a mean of 0 reads no stream
+    rows = _block_rows(params.gamma, horizon)
+    for start in range(0, n_samples, rows):
+        yield _draw_block(rng, counts[start:start + rows], horizon, cum)
 
 
 def _ends_at(counts: np.ndarray, ev_t: np.ndarray, times) -> np.ndarray:

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from aqec import decoders
 from aqec._blossom import max_weight_matching
 from aqec.decoders import (
     MajorityDecoder,
@@ -178,11 +179,14 @@ def _matching_cost(dist, pairs):
     return sum(dist[i][j] for i, j in pairs)
 
 
-@pytest.mark.parametrize("m", [14, 16])
+_NEAR_THE_CAP = (14, 16, 18)
+
+
+@pytest.mark.parametrize("m", _NEAR_THE_CAP)
 def test_dp_matches_blossom_above_the_cap(m):
-    # two independent exact engines on the same toroidal matrices, past the
-    # defect count at which the decoder switches from one to the other
-    assert m > _DP_DEFECT_CAP
+    # two independent exact engines on the same toroidal matrices, up to and
+    # past the defect count at which the decoder switches from one to the other
+    assert max(_NEAR_THE_CAP) > _DP_DEFECT_CAP
     dec = MwpmDecoder(toric_code(6))
     rng = np.random.default_rng(140 + m)
     for _ in range(5):
@@ -190,6 +194,25 @@ def test_dp_matches_blossom_above_the_cap(m):
         dist = [[dec._dist[a][b] for b in defects] for a in defects]
         assert _matching_cost(dist, _dp_min_matching(dist)) == \
             _matching_cost(dist, _blossom_min_matching(dist))
+
+
+@pytest.mark.parametrize("L", [6, 8])
+def test_dp_cost_equals_blossom_cost_up_to_the_cap(L):
+    # the DP took 13-16 defects over from the blossom: on toroidal distances,
+    # where equal-cost pairings are common, both reach the same minimum
+    dec = MwpmDecoder(toric_code(L))
+    rng = np.random.default_rng(900 + L)
+    differ = 0
+    for m in (14, 16):
+        dist = np.array([dec._dist_array[np.ix_(d, d)]
+                         for d in (rng.choice(L * L, size=m, replace=False) for _ in range(64))])
+        batch = _dp_matchings(dist)  # more than one chunk of rows at m = 16
+        for d, pairs in zip(dist.tolist(), batch.tolist()):
+            assert [tuple(p) for p in pairs] == _dp_min_matching(d)
+            blossom = _blossom_min_matching(d)
+            assert _matching_cost(d, pairs) == _matching_cost(d, blossom)
+            differ += sorted(tuple(sorted(p)) for p in pairs) != blossom
+    assert differ > 10  # the two tie rules part ways on many of the instances
 
 
 def _port_instances():
@@ -313,22 +336,25 @@ def _reference_masks(dec, s):
 
 @pytest.mark.parametrize("L", [4, 6])
 def test_corrections_batch_mixes_defect_counts(L):
-    # one corrections call holds syndromes of every defect count up to past
-    # the cap in both sectors, so DP groups and blossom decodes share it
+    # one corrections call holds syndromes of every defect count in both
+    # sectors, up to all 16 sites at L = 4 and past the cap at L = 6, so DP
+    # groups and blossom decodes share it
     dec = MwpmDecoder(toric_code(L))
     rng = np.random.default_rng(800 + L)
     last = L * L - 1  # the site generator order drops
+    top = min(L * L, _DP_DEFECT_CAP + 2)
 
     def bits(sites, offset):
         return sum(1 << (offset + a) for a in sites if a != last)
 
     syndromes = []
     for _ in range(150):
-        star, plaquette = (rng.choice(L * L, size=2 * int(rng.integers(0, 8)), replace=False)
+        star, plaquette = (rng.choice(L * L, size=2 * int(rng.integers(0, top // 2 + 1)),
+                                      replace=False)
                            for _ in range(2))
         syndromes.append(bits(star.tolist(), 0) | bits(plaquette.tolist(), last))
     counts = {len(dec._defects_from_syndrome(s, "star")) for s in syndromes}
-    assert counts == set(range(0, 16, 2))
+    assert counts == set(range(0, top + 1, 2))
     got = dec.corrections(syndromes)
     assert [(c.x_bits, c.z_bits) for c in got] == [_reference_masks(dec, s) for s in syndromes]
     assert [c.x_bits for c in dec.corrections(syndromes[:1])] == [got[0].x_bits]
@@ -452,20 +478,41 @@ def test_mwpm_undetectable_logical_loop():
     assert cls == "ZI"
 
 
-def test_mwpm_many_defects_uses_blossom():
-    code = toric_code(4)
+def test_mwpm_many_defects_uses_blossom(monkeypatch):
+    code = toric_code(6)
     dec = MwpmDecoder(code)
     rng = np.random.default_rng(99)
-    # force > 12 defects so the blossom branch runs; verify residual is clean
+    matched = []
+    blossom = decoders._blossom_min_matching
+    monkeypatch.setattr(decoders, "_blossom_min_matching",
+                        lambda dist: matched.append(len(dist)) or blossom(dist))
+    # force more defects than the DP takes so the blossom branch runs; verify
+    # residual is clean
     for _ in range(20):
         x_bits = 0
         for q in range(code.n):
             if rng.random() < 0.45:
                 x_bits |= 1 << q
-        if len(dec.star_defects(x_bits)) <= 12:
+        if len(dec.star_defects(x_bits)) <= _DP_DEFECT_CAP:
             continue
         cx, _ = dec.correction_masks(x_bits, 0)
         assert syndrome_of(code, PauliOperator(code.n, x_bits ^ cx, 0)) == 0
+    assert matched and min(matched) > _DP_DEFECT_CAP
+
+
+def test_mwpm_decodes_every_toric4_star_syndrome_without_blossom(monkeypatch):
+    # toric L = 4 has 16 vertices, so no star syndrome passes the DP's cap
+    code = toric_code(4)
+    dec = MwpmDecoder(code)
+
+    def refuse(dist):
+        raise AssertionError(f"blossom called on {len(dist)} defects")
+
+    monkeypatch.setattr(decoders, "_blossom_min_matching", refuse)
+    syndromes = range(1 << 15)  # the 15 star generators come first
+    got = dec.corrections(syndromes)
+    assert [syndrome_of(code, c) for c in got] == list(syndromes)
+    assert not any(c.z_bits for c in got)  # star defects take X strings only
 
 
 # -- fuzz across decoders --------------------------------------------------------
@@ -501,8 +548,9 @@ def _pinned_defect_lists():
 
 
 # sha256 of every star and plaquette correction mask over _pinned_defect_lists,
-# recorded before the matcher was rewritten; it moves if any tie-break drifts
-_PINNED_MASKS_SHA256 = "c26878c504b611079d60fb99a81d24c824d88977924a1f6e90235ce86e307c92"
+# recorded when the DP's cap went from 12 to 16 defects; it moves if any
+# tie-break drifts
+_PINNED_MASKS_SHA256 = "c3824956bf9e7300a663d84d0e09739e858a68358551a65b9166de9566b0a5c3"
 
 
 def test_mwpm_masks_pinned():

@@ -194,7 +194,9 @@ def test_verify_checks_params_checksum(tmp_path):
 
 
 # sha256 of every CSV the desk defaults write, recorded before the Pauli and
-# decoder layer was consolidated; a pure refactor keeps all of them.  fig6 is
+# decoder layer was consolidated, and for the frame Monte Carlo CSVs (fig4a,
+# fig4b, fig5a_mc) again when the draw order and the DP's cap changed; a pure
+# refactor keeps all of them.  fig6 is
 # left out: its digits come from an adaptive ODE solve and can move with the
 # scipy or BLAS build.
 _DESK_SHA256 = {
@@ -211,15 +213,15 @@ _DESK_SHA256 = {
         "fig3_theorem4.csv": "29e4da044f97283c4935a30ad4751e7928ada60568a2322e78b6285e565bcf4c",
     },
     "fig4a": {
-        "fig4a_L3.csv": "20b93a147d25520c8472e25382b99cc4c4e7d22692c4949dbec2348080ce1df8",
-        "fig4a_L4.csv": "ca028c694475206d0bf0ca3fce87f6e91fa5a54f190748bba4ed5c9296433796",
+        "fig4a_L3.csv": "f419608b11deaab57217965ea16919d3a1dd43470b3c6b839df7555bb3f42227",
+        "fig4a_L4.csv": "d27b87d30373fddb718313541b3a26333d64077c723ba81381ab24acd4bc7bbc",
     },
     "fig4b": {
-        "fig4b_interleaving.csv": "920ba493538e406efd0dfcf140cf02d87580e17e2b2df402f053a40fb98971a1",
+        "fig4b_interleaving.csv": "9425b21f4ca482a8834a1b5fa4f16611560b30405b9992afc42d881a97fa7bf7",
     },
     "fig5a": {
         "fig5a_exact.csv": "81c89dd64558626ab56202fc0dac42774d8eac3cb7c66585ff391a05f745ab85",
-        "fig5a_mc.csv": "f7cf7ba6965a8597bb3e30de90dee79328cd819f826cd1d1be32443f01e36574",
+        "fig5a_mc.csv": "efeb154914b9f3605dc69256aa80e9d291c83fd11365b034b99c84de2e2b3ca8",
         "fig5a_theorem4.csv": "1d606581cd705c7a4893b6b9ed367ee6e1ec438f3550df7a7fe2e550c2b51155",
     },
     "fig5b": {
