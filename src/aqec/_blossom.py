@@ -7,11 +7,17 @@ is ``W[v][w]``, ``G.neighbors(v)`` is every other vertex in ascending order,
 and ``G.edges()`` is the pairs (i, j), i < j, in order.  Every scan, tie and
 iteration order of the original is kept, so the returned matching is the
 one networkx returns for the graph built by adding the edges (i, j, W[i][j])
-for i < j in that order.  Only the branches this package never reaches are
-dropped: ``maxcardinality=False`` and non-integer weights (the weights are
-ints, so no per-edge type test runs).  The allowed-edge set is a boolean
-matrix, and the dual optimality certificate (``verifyOptimum``) runs on every
-call.
+for i < j in that order.  What differs: the branches this package never
+reaches (``maxcardinality=False``, non-integer weights) are dropped; the
+allowed-edge set is a boolean matrix; ``None`` is ``scanBlossom``'s
+no-vertex sentinel in place of a dummy class (vertices are ints 0..m-1);
+the delta-2 and delta-3 actions, the same four statements, share one branch;
+and ``expandBlossom`` and ``augmentBlossom`` call themselves where networkx
+runs a generator-stack trampoline, each nested call ending before its parent
+resumes either way.  Blossoms nest at most (m - 1) / 2 deep, since each level
+adds at least two vertices: 60 frames at m = 121 (toric L = 11), far below
+Python's recursion limit.  The dual optimality certificate
+(``verifyOptimum``) runs on every call.
 
 The original is distributed under the 3-clause BSD license:
 
@@ -53,10 +59,6 @@ The original is distributed under the 3-clause BSD license:
 from __future__ import annotations
 
 __all__ = ["max_weight_matching"]
-
-
-class NoNode:
-    """Dummy value which is different from any node."""
 
 
 class Blossom:
@@ -215,12 +217,12 @@ def max_weight_matching(W) -> list:
 
     # Trace back from vertices v and w to discover either a new blossom
     # or an augmenting path. Return the base vertex of the new blossom,
-    # or NoNode if an augmenting path was found.
+    # or None if an augmenting path was found.
     def scanBlossom(v, w):
         # Trace back from v and w, placing breadcrumbs as we go.
         path = []
-        base = NoNode
-        while v is not NoNode:
+        base = None
+        while v is not None:
             # Look for a breadcrumb in v's blossom or put a new breadcrumb.
             b = inblossom[v]
             if label[b] & 4:
@@ -233,7 +235,7 @@ def max_weight_matching(W) -> list:
             if labeledge[b] is None:
                 # The base of blossom b is single; stop tracing this path.
                 assert blossombase[b] not in mate
-                v = NoNode
+                v = None
             else:
                 assert labeledge[b][0] == mate[blossombase[b]]
                 v = labeledge[b][0]
@@ -242,7 +244,7 @@ def max_weight_matching(W) -> list:
                 # b is a T-blossom; trace one more step back.
                 v = labeledge[b][0]
             # Swap v and w so that we alternate between both paths.
-            if w is not NoNode:
+            if w is not None:
                 v, w = w, v
         # Remove breadcrumbs.
         for b in path:
@@ -347,139 +349,30 @@ def max_weight_matching(W) -> list:
 
     # Expand the given top-level blossom.
     def expandBlossom(b, endstage):
-        # This is an obnoxiously complicated recursive function for the sake of
-        # a stack-transformation.  So, we hack around the complexity by using
-        # a trampoline pattern.  By yielding the arguments to each recursive
-        # call, we keep the actual callstack flat.
-
-        def _recurse(b, endstage):
-            # Convert sub-blossoms into top-level blossoms.
-            for s in b.childs:
-                blossomparent[s] = None
-                if isinstance(s, Blossom):
-                    if endstage and blossomdual[s] == 0:
-                        # Recursively expand this sub-blossom.
-                        yield s
-                    else:
-                        for v in s.leaves():
-                            inblossom[v] = s
+        # Convert sub-blossoms into top-level blossoms.
+        for s in b.childs:
+            blossomparent[s] = None
+            if isinstance(s, Blossom):
+                if endstage and blossomdual[s] == 0:
+                    # Recursively expand this sub-blossom.
+                    expandBlossom(s, endstage)
                 else:
-                    inblossom[s] = s
-            # If we expand a T-blossom during a stage, its sub-blossoms must be
-            # relabeled.
-            if (not endstage) and label.get(b) == 2:
-                # Start at the sub-blossom through which the expanding
-                # blossom obtained its label, and relabel sub-blossoms untili
-                # we reach the base.
-                # Figure out through which sub-blossom the expanding blossom
-                # obtained its label initially.
-                entrychild = inblossom[labeledge[b][1]]
-                # Decide in which direction we will go round the blossom.
-                j = b.childs.index(entrychild)
-                if j & 1:
-                    # Start index is odd; go forward and wrap.
-                    j -= len(b.childs)
-                    jstep = 1
-                else:
-                    # Start index is even; go backward.
-                    jstep = -1
-                # Move along the blossom until we get to the base.
-                v, w = labeledge[b]
-                while j != 0:
-                    # Relabel the T-sub-blossom.
-                    if jstep == 1:
-                        p, q = b.edges[j]
-                    else:
-                        q, p = b.edges[j - 1]
-                    label[w] = None
-                    label[q] = None
-                    assignLabel(w, 2, v)
-                    # Step to the next S-sub-blossom and note its forward edge.
-                    allowedge[p][q] = allowedge[q][p] = True
-                    j += jstep
-                    if jstep == 1:
-                        v, w = b.edges[j]
-                    else:
-                        w, v = b.edges[j - 1]
-                    # Step to the next T-sub-blossom.
-                    allowedge[v][w] = allowedge[w][v] = True
-                    j += jstep
-                # Relabel the base T-sub-blossom WITHOUT stepping through to
-                # its mate (so don't call assignLabel).
-                bw = b.childs[j]
-                label[w] = label[bw] = 2
-                labeledge[w] = labeledge[bw] = (v, w)
-                bestedge[bw] = None
-                # Continue along the blossom until we get back to entrychild.
-                j += jstep
-                while b.childs[j] != entrychild:
-                    # Examine the vertices of the sub-blossom to see whether
-                    # it is reachable from a neighboring S-vertex outside the
-                    # expanding blossom.
-                    bv = b.childs[j]
-                    if label.get(bv) == 1:
-                        # This sub-blossom just got label S through one of its
-                        # neighbors; leave it be.
-                        j += jstep
-                        continue
-                    if isinstance(bv, Blossom):
-                        for v in bv.leaves():
-                            if label.get(v):
-                                break
-                    else:
-                        v = bv
-                    # If the sub-blossom contains a reachable vertex, assign
-                    # label T to the sub-blossom.
-                    if label.get(v):
-                        assert label[v] == 2
-                        assert inblossom[v] == bv
-                        label[v] = None
-                        label[mate[blossombase[bv]]] = None
-                        assignLabel(v, 2, labeledge[v][0])
-                    j += jstep
-            # Remove the expanded blossom entirely.
-            label.pop(b, None)
-            labeledge.pop(b, None)
-            bestedge.pop(b, None)
-            del blossomparent[b]
-            del blossombase[b]
-            del blossomdual[b]
-
-        # Now, we apply the trampoline pattern.  We simulate a recursive
-        # callstack by maintaining a stack of generators, each yielding a
-        # sequence of function arguments.  We grow the stack by appending a call
-        # to _recurse on each argument tuple, and shrink the stack whenever a
-        # generator is exhausted.
-        stack = [_recurse(b, endstage)]
-        while stack:
-            top = stack[-1]
-            for s in top:
-                stack.append(_recurse(s, endstage))
-                break
+                    for v in s.leaves():
+                        inblossom[v] = s
             else:
-                stack.pop()
-
-    # Swap matched/unmatched edges over an alternating path through blossom b
-    # between vertex v and the base vertex. Keep blossom bookkeeping
-    # consistent.
-    def augmentBlossom(b, v):
-        # This is an obnoxiously complicated recursive function for the sake of
-        # a stack-transformation.  So, we hack around the complexity by using
-        # a trampoline pattern.  By yielding the arguments to each recursive
-        # call, we keep the actual callstack flat.
-
-        def _recurse(b, v):
-            # Bubble up through the blossom tree from vertex v to an immediate
-            # sub-blossom of b.
-            t = v
-            while blossomparent[t] != b:
-                t = blossomparent[t]
-            # Recursively deal with the first sub-blossom.
-            if isinstance(t, Blossom):
-                yield (t, v)
+                inblossom[s] = s
+        # If we expand a T-blossom during a stage, its sub-blossoms must be
+        # relabeled.
+        if (not endstage) and label.get(b) == 2:
+            # Start at the sub-blossom through which the expanding
+            # blossom obtained its label, and relabel sub-blossoms until
+            # we reach the base.
+            # Figure out through which sub-blossom the expanding blossom
+            # obtained its label initially.
+            entrychild = inblossom[labeledge[b][1]]
             # Decide in which direction we will go round the blossom.
-            i = j = b.childs.index(t)
-            if i & 1:
+            j = b.childs.index(entrychild)
+            if j & 1:
                 # Start index is odd; go forward and wrap.
                 j -= len(b.childs)
                 jstep = 1
@@ -487,43 +380,112 @@ def max_weight_matching(W) -> list:
                 # Start index is even; go backward.
                 jstep = -1
             # Move along the blossom until we get to the base.
+            v, w = labeledge[b]
             while j != 0:
-                # Step to the next sub-blossom and augment it recursively.
-                j += jstep
-                t = b.childs[j]
+                # Relabel the T-sub-blossom.
                 if jstep == 1:
-                    w, x = b.edges[j]
+                    p, q = b.edges[j]
                 else:
-                    x, w = b.edges[j - 1]
-                if isinstance(t, Blossom):
-                    yield (t, w)
-                # Step to the next sub-blossom and augment it recursively.
+                    q, p = b.edges[j - 1]
+                label[w] = None
+                label[q] = None
+                assignLabel(w, 2, v)
+                # Step to the next S-sub-blossom and note its forward edge.
+                allowedge[p][q] = allowedge[q][p] = True
                 j += jstep
-                t = b.childs[j]
-                if isinstance(t, Blossom):
-                    yield (t, x)
-                # Match the edge connecting those sub-blossoms.
-                mate[w] = x
-                mate[x] = w
-            # Rotate the list of sub-blossoms to put the new base at the front.
-            b.childs = b.childs[i:] + b.childs[:i]
-            b.edges = b.edges[i:] + b.edges[:i]
-            blossombase[b] = blossombase[b.childs[0]]
-            assert blossombase[b] == v
+                if jstep == 1:
+                    v, w = b.edges[j]
+                else:
+                    w, v = b.edges[j - 1]
+                # Step to the next T-sub-blossom.
+                allowedge[v][w] = allowedge[w][v] = True
+                j += jstep
+            # Relabel the base T-sub-blossom WITHOUT stepping through to
+            # its mate (so don't call assignLabel).
+            bw = b.childs[j]
+            label[w] = label[bw] = 2
+            labeledge[w] = labeledge[bw] = (v, w)
+            bestedge[bw] = None
+            # Continue along the blossom until we get back to entrychild.
+            j += jstep
+            while b.childs[j] != entrychild:
+                # Examine the vertices of the sub-blossom to see whether
+                # it is reachable from a neighboring S-vertex outside the
+                # expanding blossom.
+                bv = b.childs[j]
+                if label.get(bv) == 1:
+                    # This sub-blossom just got label S through one of its
+                    # neighbors; leave it be.
+                    j += jstep
+                    continue
+                if isinstance(bv, Blossom):
+                    for v in bv.leaves():
+                        if label.get(v):
+                            break
+                else:
+                    v = bv
+                # If the sub-blossom contains a reachable vertex, assign
+                # label T to the sub-blossom.
+                if label.get(v):
+                    assert label[v] == 2
+                    assert inblossom[v] == bv
+                    label[v] = None
+                    label[mate[blossombase[bv]]] = None
+                    assignLabel(v, 2, labeledge[v][0])
+                j += jstep
+        # Remove the expanded blossom entirely.
+        label.pop(b, None)
+        labeledge.pop(b, None)
+        bestedge.pop(b, None)
+        del blossomparent[b]
+        del blossombase[b]
+        del blossomdual[b]
 
-        # Now, we apply the trampoline pattern.  We simulate a recursive
-        # callstack by maintaining a stack of generators, each yielding a
-        # sequence of function arguments.  We grow the stack by appending a call
-        # to _recurse on each argument tuple, and shrink the stack whenever a
-        # generator is exhausted.
-        stack = [_recurse(b, v)]
-        while stack:
-            top = stack[-1]
-            for args in top:
-                stack.append(_recurse(*args))
-                break
+    # Swap matched/unmatched edges over an alternating path through blossom b
+    # between vertex v and the base vertex. Keep blossom bookkeeping
+    # consistent.
+    def augmentBlossom(b, v):
+        # Bubble up through the blossom tree from vertex v to an immediate
+        # sub-blossom of b.
+        t = v
+        while blossomparent[t] != b:
+            t = blossomparent[t]
+        # Recursively deal with the first sub-blossom.
+        if isinstance(t, Blossom):
+            augmentBlossom(t, v)
+        # Decide in which direction we will go round the blossom.
+        i = j = b.childs.index(t)
+        if i & 1:
+            # Start index is odd; go forward and wrap.
+            j -= len(b.childs)
+            jstep = 1
+        else:
+            # Start index is even; go backward.
+            jstep = -1
+        # Move along the blossom until we get to the base.
+        while j != 0:
+            # Step to the next sub-blossom and augment it recursively.
+            j += jstep
+            t = b.childs[j]
+            if jstep == 1:
+                w, x = b.edges[j]
             else:
-                stack.pop()
+                x, w = b.edges[j - 1]
+            if isinstance(t, Blossom):
+                augmentBlossom(t, w)
+            # Step to the next sub-blossom and augment it recursively.
+            j += jstep
+            t = b.childs[j]
+            if isinstance(t, Blossom):
+                augmentBlossom(t, x)
+            # Match the edge connecting those sub-blossoms.
+            mate[w] = x
+            mate[x] = w
+        # Rotate the list of sub-blossoms to put the new base at the front.
+        b.childs = b.childs[i:] + b.childs[:i]
+        b.edges = b.edges[i:] + b.edges[:i]
+        blossombase[b] = blossombase[b.childs[0]]
+        assert blossombase[b] == v
 
     # Swap matched/unmatched edges over an alternating path between two
     # single vertices. The augmenting path runs through S-vertices v and w.
@@ -668,7 +630,7 @@ def max_weight_matching(W) -> list:
                             # follow back-links to discover either an
                             # augmenting path or a new blossom.
                             base = scanBlossom(v, w)
-                            if base is not NoNode:
+                            if base is not None:
                                 # Found a new blossom; add it to the blossom
                                 # bookkeeping and turn it into an S-blossom.
                                 addBlossom(base, v, w)
@@ -774,17 +736,11 @@ def max_weight_matching(W) -> list:
             if deltatype == 1:
                 # No further improvement possible; optimum reached.
                 break
-            elif deltatype == 2:
+            elif deltatype in (2, 3):
                 # Use the least-slack edge to continue the search.
                 (v, w) = deltaedge
                 assert label[inblossom[v]] == 1
                 allowedge[v][w] = allowedge[w][v] = True
-                queue.append(v)
-            elif deltatype == 3:
-                # Use the least-slack edge to continue the search.
-                (v, w) = deltaedge
-                allowedge[v][w] = allowedge[w][v] = True
-                assert label[inblossom[v]] == 1
                 queue.append(v)
             elif deltatype == 4:
                 # Expand the least-z blossom.

@@ -275,10 +275,9 @@ class MwpmDecoder(Decoder):
         self._n_sites = L * L
         # toroidal Manhattan distance between sites, row-major: one table
         ring = [min(d, L - d) for d in range(L)]
-        self._dist = [[ring[(r1 - r2) % L] + ring[(c1 - c2) % L]
-                       for r2 in range(L) for c2 in range(L)]
-                      for r1 in range(L) for c1 in range(L)]
-        self._dist_array = np.array(self._dist, dtype=np.int32)
+        self._dist_array = np.array([[ring[(r1 - r2) % L] + ring[(c1 - c2) % L]
+                                      for r2 in range(L) for c2 in range(L)]
+                                     for r1 in range(L) for c1 in range(L)], dtype=np.int32)
         # sector -> {a * L^2 + b: edge mask of _path(a, b)}, filled on first use
         self._paths = {"star": {}, "plaquette": {}}
 
@@ -373,9 +372,6 @@ class MwpmDecoder(Decoder):
                 mask ^= path
             masks.append(mask)
         return masks
-
-    def sector_correction_mask(self, defects: list, sector: str) -> int:
-        return self._matched_masks(np.array(defects, dtype=np.intp).reshape(1, -1), sector)[0]
 
     # bound in the class dict so tracers can wrap it per decoder class
     correction_masks = Decoder.correction_masks

@@ -88,7 +88,7 @@ class ParamSpec:
 class _Experiment:
     """One experiment id: its runner, its verifier and its parameter schema."""
 
-    runner: object  # (params, seed, workers) -> {filename: (header, rows)}
+    runner: object  # (params, seed, workers, full_scale) -> {filename: (header, rows)}
     verifier: object  # (tables, params) -> [(check name, ok, detail)]
     schema: dict  # parameter name -> ParamSpec
 
@@ -308,7 +308,7 @@ class ResultManifest:
 # Each runner returns {filename: (header, rows)}; run() writes and hashes them.
 
 
-def _run_fig2(p, seed, workers):
+def _run_fig2(p, seed, workers, full_scale):
     out = {}
     for r in p["r_values"]:
         kappa, r0 = p["kappa"], p["r0"]
@@ -327,7 +327,7 @@ def _run_fig2(p, seed, workers):
     return out
 
 
-def _run_fig3(p, seed, workers):
+def _run_fig3(p, seed, workers, full_scale):
     ell, kappa, delta, n = p["ell"], p["kappa"], p["delta"], p["n_channels"]
     ts = np.asarray(p["t_values"], dtype=float)
     inputs2 = BoundInputs(xi=0.0, h=ell, kappa=kappa, delta=delta, n_channels=n)
@@ -351,7 +351,7 @@ def _run_fig3(p, seed, workers):
     return out
 
 
-def _run_fig4a(p, seed, workers):
+def _run_fig4a(p, seed, workers, full_scale):
     out = {}
     for L in p["l_values"]:
         code = toric_code(L)
@@ -368,12 +368,11 @@ def _run_fig4a(p, seed, workers):
     return out
 
 
-def _run_fig4b(p, seed, workers):
+def _run_fig4b(p, seed, workers, full_scale):
     code = toric_code(p["side"])
     decoder = MwpmDecoder(code)
     noise = NoiseModel.bit_flip(code.n)
-    params = PoissonParams(kappa=p["kappa"], delta=p["delta"],
-                           n_channels=noise.n_channels)
+    params = noise.params(p["kappa"], p["delta"])
     rows = []
     for t in p["t_values"]:
         for m in p["m_values"]:
@@ -386,7 +385,7 @@ def _run_fig4b(p, seed, workers):
     return {"fig4b_interleaving.csv": (header, rows)}
 
 
-def _run_fig5a(p, seed, workers):
+def _run_fig5a(p, seed, workers, full_scale):
     kappa, delta = p["kappa"], p["delta"]
     ts = np.asarray(p["t_values"], dtype=float)
     code = five_qubit_code()
@@ -410,7 +409,7 @@ def _run_fig5a(p, seed, workers):
     }
 
 
-def _run_fig5b(p, seed, workers):
+def _run_fig5b(p, seed, workers, full_scale):
     ts = np.geomspace(p["t_min"], p["t_max"], p["t_points"])
     out = {}
     for L in p["l_values"]:
@@ -464,7 +463,7 @@ def _fit(x, y, key: str) -> tuple:
         raise ValueError(f"{key}: {err}") from None
 
 
-def _run_fig6(p, seed, workers, full_scale=False):
+def _run_fig6(p, seed, workers, full_scale):
     kappa = p["kappa"]
     ts = np.linspace(0.0, p["t_max"], p["t_points"])
     fit = ts >= p["fit_start"]
@@ -511,7 +510,7 @@ def _ratio_tables(p, fig: str):
     return out, by_kd
 
 
-def _run_figE7(p, seed, workers):
+def _run_figE7(p, seed, workers, full_scale):
     out, by_kd = _ratio_tables(p, "figE7")
     sat = {kd: max(sub)[2] for kd, sub in by_kd.items()}  # ln_ratio at the largest N
     kds = np.array(sorted(sat))
@@ -523,7 +522,7 @@ def _run_figE7(p, seed, workers):
     return out
 
 
-def _run_figE8(p, seed, workers):
+def _run_figE8(p, seed, workers, full_scale):
     out, by_kd = _ratio_tables(p, "figE8")
     exp_rows = []
     for kd, sub in by_kd.items():
@@ -537,7 +536,7 @@ def _run_figE8(p, seed, workers):
     return out
 
 
-def _run_appH(p, seed, workers):
+def _run_appH(p, seed, workers, full_scale):
     rows = []
     for L in p["l_values"]:
         j = (L - 1) // 2
@@ -555,19 +554,11 @@ MANIFEST_NAME = "manifest.json"
 
 def run(config: ExperimentConfig) -> ResultManifest:
     """Execute one experiment, writing CSVs and a manifest into config.out_dir."""
-    workers = config.workers
-    env = os.environ.get("AQEC_WORKERS")
-    if env is not None:
-        workers = int(env)
-    if workers < 1:
+    if config.workers < 1:
         raise ValueError("workers must be positive")
     start = time.monotonic()
     runner = EXPERIMENTS[config.experiment].runner
-    if config.experiment == "fig6":
-        tables = runner(config.params, config.seed, workers,
-                        full_scale=config.full_scale)
-    else:
-        tables = runner(config.params, config.seed, workers)
+    tables = runner(config.params, config.seed, config.workers, config.full_scale)
     os.makedirs(config.out_dir, exist_ok=True)
     files = {}
     for name in sorted(tables):
@@ -577,7 +568,7 @@ def run(config: ExperimentConfig) -> ResultManifest:
         files[name] = _sha256(path)
     manifest = ResultManifest(
         experiment=config.experiment, params=config.params, seed=config.seed,
-        workers=workers, full_scale=config.full_scale, version=__version__,
+        workers=config.workers, full_scale=config.full_scale, version=__version__,
         files=files, wall_clock_s=time.monotonic() - start,
         params_sha256=_params_sha256(config.params))
     manifest.save(os.path.join(config.out_dir, MANIFEST_NAME))

@@ -169,8 +169,8 @@ def test_mwpm_cost_matches_brute_force(L):
     for _ in range(60):
         m = int(rng.choice([2, 4, 6]))
         defects = list(rng.choice(sites, size=m, replace=False))
-        dist = [[dec._dist[a][b] for b in defects] for a in defects]
-        mask = dec.sector_correction_mask(defects, "star")
+        dist = dec._dist_array[np.ix_(defects, defects)].tolist()
+        mask = dec._matched_masks(np.array([defects]), "star")[0]
         assert mask.bit_count() == brute_force_match_cost(dist)
 
 
@@ -191,7 +191,7 @@ def test_dp_matches_blossom_above_the_cap(m):
     rng = np.random.default_rng(140 + m)
     for _ in range(5):
         defects = [int(d) for d in rng.choice(36, size=m, replace=False)]
-        dist = [[dec._dist[a][b] for b in defects] for a in defects]
+        dist = dec._dist_array[np.ix_(defects, defects)].tolist()
         assert _matching_cost(dist, _dp_min_matching(dist)) == \
             _matching_cost(dist, _blossom_min_matching(dist))
 
@@ -228,7 +228,7 @@ def _port_instances():
         dec = toric[(4, 6, 8, 11)[i % 4]]
         m = 2 * int(rng.integers(7, min(30, dec._n_sites // 2) + 1))
         defects = rng.choice(dec._n_sites, size=m, replace=False).tolist()
-        yield None, [[dec._dist[a][b] for b in defects] for a in defects]
+        yield None, dec._dist_array[np.ix_(defects, defects)].tolist()
 
 
 def test_blossom_port_returns_networkx_pairs():
@@ -301,7 +301,7 @@ def test_batched_dp_keeps_the_recursive_dp_pairs(L):
     rng = np.random.default_rng(700 + L)
     ties = 0
     for m in range(2, _DP_DEFECT_CAP + 1, 2):
-        dist = [[[dec._dist[a][b] for b in defects] for a in defects]
+        dist = [dec._dist_array[np.ix_(defects, defects)].tolist()
                 for defects in (rng.choice(L * L, size=m, replace=False) for _ in range(40))]
         want = [_recursive_dp_min_matching(d) for d in dist]
         assert [_dp_min_matching(d) for d in dist] == want  # batches of one
@@ -325,7 +325,7 @@ def _reference_masks(dec, s):
     masks = []
     for sector, geometry in (("star", (dec._v, dec._h, 0)), ("plaquette", (dec._h, dec._v, 1))):
         defects = dec._defects_from_syndrome(s, sector)
-        dist = [[dec._dist[a][b] for b in defects] for a in defects]
+        dist = dec._dist_array[np.ix_(defects, defects)].tolist()
         match = _recursive_dp_min_matching if len(defects) <= _DP_DEFECT_CAP else _blossom_min_matching
         mask = 0
         for i, j in match(dist) if defects else []:
@@ -373,7 +373,7 @@ def test_mwpm_single_pair_adjacent():
     code = toric_code(4)
     dec = MwpmDecoder(code)
     # defects at vertices (0,0) and (0,1) are joined by the single edge h(0,0)
-    mask = dec.sector_correction_mask([0, 1], "star")
+    mask = dec._matched_masks(np.array([[0, 1]]), "star")[0]
     assert mask == 1 << 0
 
 
@@ -381,7 +381,7 @@ def test_mwpm_row_path_tie_break():
     code = toric_code(4)
     dec = MwpmDecoder(code)
     # vertices (0,0) and (0,2): canonical correction is the row-0 path via h(0,0), h(0,1)
-    mask = dec.sector_correction_mask([0, 2], "star")
+    mask = dec._matched_masks(np.array([[0, 2]]), "star")[0]
     assert mask == (1 << 0) | (1 << 1)
 
 
@@ -558,5 +558,5 @@ def test_mwpm_masks_pinned():
     h = hashlib.sha256()
     for L, defects in _pinned_defect_lists():
         for sector in ("star", "plaquette"):
-            h.update(f"{L}:{sector}:{decoders[L].sector_correction_mask(defects, sector):x}\n".encode())
+            h.update(f"{L}:{sector}:{decoders[L]._matched_masks(np.array([defects]), sector)[0]:x}\n".encode())
     assert h.hexdigest() == _PINNED_MASKS_SHA256

@@ -296,13 +296,6 @@ def test_seed_changes_monte_carlo_output(tmp_path):
     assert not np.array_equal(c1["y"], c2["y"])
 
 
-def test_workers_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("AQEC_WORKERS", "3")
-    cfg = ExperimentConfig(experiment="appH", out_dir=str(tmp_path / "h"))
-    manifest = run(cfg)
-    assert manifest.workers == 3
-
-
 def test_verify_flags_corrupted_csv(tmp_path):
     cfg = ExperimentConfig(experiment="appH", out_dir=str(tmp_path / "h"))
     run(cfg)
@@ -456,6 +449,14 @@ def test_cli_usage_errors_exit_1(tmp_path, capsys):
     assert cli.main(["not-a-command"]) == 1
     assert cli.main([]) == 1
     assert cli.main(["--help"]) == 0
+
+
+def test_cli_run_zero_workers_exits_1(tmp_path, capsys):
+    cfg_path = _write(tmp_path / "h.cfg",
+                      f"experiment = appH\nworkers = 0\nout_dir = {tmp_path / 'out'}\n")
+    assert cli.main(["run", cfg_path]) == 1
+    assert capsys.readouterr().err == "error: workers must be positive\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_nan_rate_exits_1(tmp_path):
