@@ -52,8 +52,8 @@ FIRST_RUN_CAP = 1 << 24  # most entries of a first-run or Poisson-count table
 
 def _require_count(name: str, v) -> int:
     """v as an int; raises ValueError unless v is a nonnegative integer
-    (integral floats such as 15.0 pass)."""
-    if not (v >= 0 and float(v).is_integer()):  # a NaN fails the comparison
+    (integral floats such as 15.0 pass; None does not)."""
+    if v is None or not (v >= 0 and float(v).is_integer()):  # a NaN fails the comparison
         raise ValueError(f"{name} must be a nonnegative integer, got {v}")
     return int(v)
 

@@ -38,32 +38,31 @@ def _cell(row, key):
     return float(value)
 
 
+# ops on the row's BoundInputs and t; the last two take the inputs alone
+_INPUT_OPS = {
+    "theorem1": theorem1_bound,
+    "theorem2": theorem2_bound,
+    "theorem3": theorem3_bound,
+    "theorem4": theorem4_bound,
+    "p_asymptotic": p_asymptotic,
+    "p_exact_quadrature": p_exact_quadrature,
+    "theorem4_late_slope": lambda inputs, t: theorem4_late_slope(inputs),
+    "delta_eff": lambda inputs, t: delta_eff(inputs),
+}
+
+
 def _eval_bounds_row(row):
     """(value, extra) for one grid row; extra carries secondary outputs."""
     op = (row.get("op") or "").strip()
     inputs = BoundInputs(**{f.name: _cell(row, f.name) for f in fields(BoundInputs)})
     t = _cell(row, "t")
+    if op in _INPUT_OPS:
+        return float(_INPUT_OPS[op](inputs, t)), ""
     if op == "f_ell":
         return f_ell(_cell(row, "ell"), _cell(row, "z")), ""
-    if op == "theorem1":
-        return theorem1_bound(inputs, t), ""
-    if op == "theorem2":
-        return theorem2_bound(inputs, t), ""
-    if op == "theorem3":
-        return theorem3_bound(inputs, t), ""
-    if op == "theorem4":
-        return theorem4_bound(inputs, t), ""
-    if op == "theorem4_late_slope":
-        return theorem4_late_slope(inputs), ""
     if op == "theorem5_lower":
         return theorem5_lower(_cell(row, "a"), _cell(row, "tau_c"),
                               _cell(row, "kappa"), t), ""
-    if op == "delta_eff":
-        return delta_eff(inputs), ""
-    if op == "p_asymptotic":
-        return p_asymptotic(inputs, t), ""
-    if op == "p_exact_quadrature":
-        return float(p_exact_quadrature(inputs, t)), ""
     if op == "soft_threshold":
         st = soft_threshold(inputs)
         return st.gamma_min, f"ell_min={st.ell_min}"

@@ -17,8 +17,9 @@ correction's (x, z) masks in ``_masks``, or a batch of them in
 
 The MWPM decoder solves a batch together: its syndromes are grouped by
 defect count, each group up to 16 defects is matched by one subset DP that
-takes one numpy step per popcount level over the whole group, and each
-correction XORs path masks cached per site pair.
+takes one numpy step per popcount level over the whole group, and a group's
+corrections are one XOR reduction over its pairs' path masks, gathered from
+a table of every site pair that the decoder builds once.
 
 All tie-breaking is deterministic: lookup enumerates candidates by
 (weight, x_bits, z_bits) ascending; matching follows two rules, the subset DP
@@ -231,18 +232,6 @@ def _dp_chunk(dist: np.ndarray, plan: list) -> np.ndarray:
     return pairs
 
 
-def _dp_min_matching(dist) -> list:
-    """Exact minimum-weight perfect matching of one m x m matrix by subset DP.
-
-    Returns pairs (i, j): _dp_matchings on a batch of one.  ``dist`` is any
-    m x m indexable, a numpy array included.
-    """
-    dist = np.asarray(dist)
-    if not len(dist):
-        return []
-    return [tuple(p) for p in _dp_matchings(dist[None]).tolist()[0]]
-
-
 def _blossom_min_matching(dist) -> list:
     """Exact minimum-weight perfect matching by blossom (``_blossom``).
 
@@ -271,15 +260,18 @@ class MwpmDecoder(Decoder):
         if 2 * L * L != code.n or not code.name.startswith("toric"):
             raise ValueError("MwpmDecoder requires a toric code")
         self.L = L
-        self._h, self._v = _toric_edges(L)
         self._n_sites = L * L
         # toroidal Manhattan distance between sites, row-major: one table
         ring = [min(d, L - d) for d in range(L)]
         self._dist_array = np.array([[ring[(r1 - r2) % L] + ring[(c1 - c2) % L]
                                       for r2 in range(L) for c2 in range(L)]
                                      for r1 in range(L) for c1 in range(L)], dtype=np.int32)
-        # sector -> {a * L^2 + b: edge mask of _path(a, b)}, filled on first use
-        self._paths = {"star": {}, "plaquette": {}}
+        # sector -> paths[a, b], the edge mask (a Python int) of _path from site a to b
+        h, v = _toric_edges(L)
+        sites = range(L * L)
+        self._paths = {sector: np.array([[self._path(a, b, *geometry) for b in sites]
+                                         for a in sites], dtype=object)
+                       for sector, geometry in (("star", (v, h, 0)), ("plaquette", (h, v, 1)))}
 
     # -- defect extraction ---------------------------------------------------
 
@@ -345,7 +337,7 @@ class MwpmDecoder(Decoder):
 
     def _matched_masks(self, defects: np.ndarray, sector: str) -> list:
         """Correction masks of one sector, one per row of defects (site
-        lists of one length m): the XOR of the cached paths between the pairs
+        lists of one length m): the XOR of the tabled paths between the pairs
         of the row's minimum-weight matching, by subset DP up to
         _DP_DEFECT_CAP defects and by blossom above."""
         g, m = defects.shape
@@ -359,19 +351,8 @@ class MwpmDecoder(Decoder):
         else:
             pairs = np.array([_blossom_min_matching(d) for d in dist.tolist()])
         ends = np.take_along_axis(defects, pairs.reshape(g, m), axis=1)
-        n_sites = self._n_sites
-        paths = self._paths[sector]
-        geometry = (self._v, self._h, 0) if sector == "star" else (self._h, self._v, 1)
-        masks = []
-        for keys in (ends[:, 0::2] * n_sites + ends[:, 1::2]).tolist():
-            mask = 0
-            for key in keys:
-                path = paths.get(key)
-                if path is None:
-                    path = paths[key] = self._path(*divmod(key, n_sites), *geometry)
-                mask ^= path
-            masks.append(mask)
-        return masks
+        paths = self._paths[sector][ends[:, 0::2], ends[:, 1::2]]
+        return np.bitwise_xor.reduce(paths, axis=1).tolist()
 
     # bound in the class dict so tracers can wrap it per decoder class
     correction_masks = Decoder.correction_masks

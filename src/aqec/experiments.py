@@ -288,6 +288,10 @@ class ResultManifest:
         files = body["files"]
         if not (isinstance(files, dict) and all(isinstance(v, str) for v in files.values())):
             raise ValueError(f"{path}: manifest files are not an object of string digests")
+        outside = [k for k in files if k in ("", ".", "..") or os.path.basename(k) != k]
+        if outside:
+            raise ValueError(f"{path}: manifest files are not plain names in its "
+                             f"directory: {', '.join(map(repr, outside))}")
         params = body["params"]
         if not isinstance(params, dict):
             raise ValueError(f"{path}: manifest params are not a JSON object")
@@ -559,6 +563,11 @@ def run(config: ExperimentConfig) -> ResultManifest:
     start = time.monotonic()
     runner = EXPERIMENTS[config.experiment].runner
     tables = runner(config.params, config.seed, config.workers, config.full_scale)
+    if not tables:
+        raise ValueError(f"{config.experiment}: the config gives no table")
+    for name in sorted(tables):
+        if not tables[name][1]:
+            raise ValueError(f"{name}: the config gives the table no rows")
     os.makedirs(config.out_dir, exist_ok=True)
     files = {}
     for name in sorted(tables):

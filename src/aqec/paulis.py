@@ -9,7 +9,6 @@ XOR and popcount, which is what the Monte Carlo inner loop needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 __all__ = [
     "PauliOperator",
@@ -263,20 +262,15 @@ def repetition_code(n: int) -> StabilizerCode:
     )
 
 
-def _toric_h(L: int, r: int, c: int) -> int:
-    return (r % L) * L + (c % L)
-
-
-def _toric_v(L: int, r: int, c: int) -> int:
-    return L * L + (r % L) * L + (c % L)
-
-
 def _toric_edges(L: int):
-    """Edge indexing shared with the MWPM decoder: h(r,c)=r*L+c, v(r,c)=L^2+r*L+c.
+    """Edge indexing shared with the MWPM decoder: h(r,c)=r*L+c, v(r,c)=L^2+r*L+c."""
+    def h(r: int, c: int) -> int:
+        return (r % L) * L + (c % L)
 
-    Partials of module-level functions, so a decoder holding them pickles.
-    """
-    return partial(_toric_h, L), partial(_toric_v, L)
+    def v(r: int, c: int) -> int:
+        return L * L + (r % L) * L + (c % L)
+
+    return h, v
 
 
 def toric_code(L: int) -> StabilizerCode:

@@ -9,10 +9,10 @@ decoding.
 
 Every frame estimator draws a shard's samples in blocks of rows (_blocks:
 first every row's Poisson event count in one call, then per block one call
-for the uniforms, each row's times followed by its labels; at most
-FRAME_BLOCK rows and about BLOCK_EVENTS events).  A block is flat: each
-row's event count, then every row's events one row after another, with no
-padding.  One frame walk (_FrameEngine.walk_block) reads the logical class
+for the uniforms, each row's times followed by its labels; about
+BLOCK_EVENTS events, and so at most BLOCK_EVENTS rows).  A block is flat:
+each row's event count, then every row's events one row after another, with
+no padding.  One frame walk (_FrameEngine.walk_block) reads the logical class
 out of a whole block at given times, with no loop over rows or events: prefix
 XORs carry each frame as phi = (syndrome, logical parity), one int that each
 error event XORs, and one batched decode serves all of the block's
@@ -73,7 +73,6 @@ __all__ = [
 ]
 
 FRAME_SHARD = 4096       # samples per shard in frame-tracking estimators
-FRAME_BLOCK = 1024       # most rows drawn and walked at once
 BLOCK_EVENTS = 8192      # expected events per block; bounds a block's arrays
 VIOLATION_SHARD = 65536  # samples per shard in the run-length sampler
 CHAIN_MAX_STATES = 4096  # largest phi space frame_chain_rates exponentiates
@@ -202,9 +201,10 @@ def _require_drawable(gamma: float, horizon: float) -> None:
 
 
 def _block_rows(gamma: float, horizon: float) -> int:
-    """Rows per block: FRAME_BLOCK, or fewer (down to 1) when the block's
-    expected event count would pass BLOCK_EVENTS."""
-    return max(1, min(FRAME_BLOCK, int(BLOCK_EVENTS // max(gamma * horizon, 1.0))))
+    """Rows per block: as many as keep the block's expected event count
+    within BLOCK_EVENTS, counting a row as at least one event (so at most
+    BLOCK_EVENTS rows), and at least 1."""
+    return max(1, int(BLOCK_EVENTS // max(gamma * horizon, 1.0)))
 
 
 def _blocks(rng: np.random.Generator, n_samples: int, params: PoissonParams,

@@ -36,7 +36,7 @@ from aqec.bounds import (
     theorem4_bound,
     theorem5_lower,
 )
-from aqec.decoders import MwpmDecoder, _blossom_min_matching, _dp_min_matching, build_lookup
+from aqec.decoders import MwpmDecoder, _blossom_min_matching, _dp_matchings, build_lookup
 from aqec.experiments import binomial_error_set, fig6_cutoff
 from aqec.lindblad import (
     TruncatedOscillator,
@@ -349,8 +349,7 @@ def test_property_suite_cross_checks(five_qubit):
                               + min(abs(c1 - c2), L - abs(c1 - c2))
                               for (r2, c2) in pts] for (r1, c1) in pts], float)
             target = _brute_min_matching_weight(dist.tolist())
-            for engine in (_dp_min_matching, _blossom_min_matching):
-                pairs = engine(dist)
+            for pairs in (_dp_matchings(dist[None])[0], _blossom_min_matching(dist)):
                 got = sum(dist[i][j] for i, j in pairs)
                 ok = ok and math.isclose(got, target)
     oks["mwpm_optimality"] = ok

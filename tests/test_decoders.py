@@ -14,11 +14,11 @@ from aqec.decoders import (
     _DP_DEFECT_CAP,
     _blossom_min_matching,
     _dp_matchings,
-    _dp_min_matching,
     build_lookup,
 )
 from aqec.paulis import (
     PauliOperator,
+    _toric_edges,
     five_qubit_code,
     logical_class,
     multiply,
@@ -192,7 +192,7 @@ def test_dp_matches_blossom_above_the_cap(m):
     for _ in range(5):
         defects = [int(d) for d in rng.choice(36, size=m, replace=False)]
         dist = dec._dist_array[np.ix_(defects, defects)].tolist()
-        assert _matching_cost(dist, _dp_min_matching(dist)) == \
+        assert _matching_cost(dist, _dp_matchings(np.array(dist)[None])[0]) == \
             _matching_cost(dist, _blossom_min_matching(dist))
 
 
@@ -208,7 +208,7 @@ def test_dp_cost_equals_blossom_cost_up_to_the_cap(L):
                          for d in (rng.choice(L * L, size=m, replace=False) for _ in range(64))])
         batch = _dp_matchings(dist)  # more than one chunk of rows at m = 16
         for d, pairs in zip(dist.tolist(), batch.tolist()):
-            assert [tuple(p) for p in pairs] == _dp_min_matching(d)
+            assert pairs == _dp_matchings(np.array(d)[None]).tolist()[0]
             blossom = _blossom_min_matching(d)
             assert _matching_cost(d, pairs) == _matching_cost(d, blossom)
             differ += sorted(tuple(sorted(p)) for p in pairs) != blossom
@@ -304,7 +304,8 @@ def test_batched_dp_keeps_the_recursive_dp_pairs(L):
         dist = [dec._dist_array[np.ix_(defects, defects)].tolist()
                 for defects in (rng.choice(L * L, size=m, replace=False) for _ in range(40))]
         want = [_recursive_dp_min_matching(d) for d in dist]
-        assert [_dp_min_matching(d) for d in dist] == want  # batches of one
+        assert [list(map(tuple, _dp_matchings(np.array(d)[None]).tolist()[0]))
+                for d in dist] == want  # batches of one
         assert [list(map(tuple, p)) for p in _dp_matchings(np.array(dist)).tolist()] == want
         ties += sum(_recursive_dp_min_matching(d, last_tie=True) != w for d, w in zip(dist, want))
     assert ties > 40
@@ -323,7 +324,8 @@ def _reference_masks(dec, s):
     """(x, z) correction masks of syndrome s from the recursive DP (blossom
     above the cap) and freshly walked paths."""
     masks = []
-    for sector, geometry in (("star", (dec._v, dec._h, 0)), ("plaquette", (dec._h, dec._v, 1))):
+    h, v = _toric_edges(dec.L)
+    for sector, geometry in (("star", (v, h, 0)), ("plaquette", (h, v, 1))):
         defects = dec._defects_from_syndrome(s, sector)
         dist = dec._dist_array[np.ix_(defects, defects)].tolist()
         match = _recursive_dp_min_matching if len(defects) <= _DP_DEFECT_CAP else _blossom_min_matching
@@ -365,7 +367,7 @@ def test_dp_accepts_numpy_float_matrix():
     for m in (2, 4, 6, 8):
         a = rng.uniform(0.0, 5.0, size=(m, m))
         dist = a + a.T
-        pairs = _dp_min_matching(dist)
+        pairs = _dp_matchings(dist[None])[0]
         assert _matching_cost(dist, pairs) == pytest.approx(brute_force_match_cost(dist), rel=1e-12)
 
 

@@ -504,6 +504,25 @@ def test_cli_run_degenerate_fit_exits_1(tmp_path, capsys, body, key, distinct):
     assert err == f"error: {key}: need at least two distinct x, got {distinct}\n"
 
 
+@pytest.mark.parametrize("body,table", [
+    # the first two used to crash verify with an IndexError, the other four
+    # to pass verify with no science check
+    ("experiment = fig4a\ntau_values =\n", "fig4a_L3.csv"),
+    ("experiment = fig5b\nt_points = 0\n", "fig5b_theorem2_L4.csv"),
+    ("experiment = fig4a\nl_values =\n", "fig4a: the config gives no table"),
+    ("experiment = appH\nl_values =\n", "appH_table.csv"),
+    ("experiment = fig2\nr_grid_points = 0\n", "fig2_minima.csv"),
+    ("experiment = fig6\ndelta_values =\n", "fig6_rates.csv"),
+], ids=["fig4a_no_tau", "fig5b_no_t", "fig4a_no_l", "appH_no_l", "fig2_no_grid",
+        "fig6_no_delta"])
+def test_cli_run_empty_grid_exits_1(tmp_path, capsys, body, table):
+    cfg_path = _write(tmp_path / "c.cfg", body + f"out_dir = {tmp_path / 'out'}\n")
+    assert cli.main(["run", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and table in err
+    assert not (tmp_path / "out").exists()
+
+
 _MANIFEST_BODY = {"experiment": "appH", "params": {}, "seed": 1, "workers": 1,
                   "full_scale": False, "version": "0", "files": {}, "wall_clock_s": 0.0}
 
@@ -518,8 +537,16 @@ _MANIFEST_BODY = {"experiment": "appH", "params": {}, "seed": 1, "workers": 1,
           params={"n_values": [1000], "kd_values": [2.0]}), "params lack key(s) h_fraction"),
     (dict(_MANIFEST_BODY, files=["appH_table.csv"]), "files are not an object of string"),
     (dict(_MANIFEST_BODY, files={"appH_table.csv": 5}), "files are not an object of string"),
+    # a listed file outside the manifest's directory used to pass its checksum
+    (dict(_MANIFEST_BODY, files={"/etc/hostname": "0" * 64}), "not plain names"),
+    (dict(_MANIFEST_BODY, files={"sub/appH_table.csv": "0" * 64}), "not plain names"),
+    (dict(_MANIFEST_BODY, files={"../appH_table.csv": "0" * 64}), "not plain names"),
+    (dict(_MANIFEST_BODY, files={"..": "0" * 64}), "not plain names"),
+    (dict(_MANIFEST_BODY, files={".": "0" * 64}), "not plain names"),
 ], ids=["unknown_experiment", "list_experiment", "missing_params", "json_list",
-        "params_list", "figE7_missing_h_fraction", "files_list", "files_int_digest"])
+        "params_list", "figE7_missing_h_fraction", "files_list", "files_int_digest",
+        "files_absolute", "files_separator", "files_parent_path", "files_dotdot",
+        "files_dot"])
 def test_cli_verify_malformed_manifest_exits_1(tmp_path, capsys, body, named):
     path = _write(tmp_path / "manifest.json", json.dumps(body))
     assert cli.main(["verify", path]) == 1
@@ -683,6 +710,19 @@ def test_cli_bounds_toric_perturbative_range(tmp_path, capsys, row, status):
         assert value == pytest.approx(-6.511782795572901e94, rel=1e-11)
     else:
         assert captured.err.startswith("error: ") and "float range" in captured.err
+
+
+@pytest.mark.parametrize("op,header,row,named", [
+    ("toric_perturbative", "side,kappa,delta,dims", ",1.0,0.01,2D", "side"),
+    ("f_ell", "ell,z", ",1.0", "ell"),
+])
+def test_cli_bounds_missing_count_exits_1(tmp_path, capsys, op, header, row, named):
+    # an empty count cell used to leak a TypeError traceback
+    grid = _write(tmp_path / "g.csv", f"op,{header}\n{op},{row}\n")
+    assert cli.main(["bounds", "--grid", grid]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {named} must be a nonnegative integer, got None\n"
+    assert captured.out == ""
 
 
 def test_cli_bounds_unknown_op_exits_1(tmp_path, capsys):

@@ -27,7 +27,6 @@ from aqec.paulis import (
 )
 from aqec.trajectories import (
     BLOCK_EVENTS,
-    FRAME_BLOCK,
     FRAME_SHARD,
     POISSON_LAM_MAX,
     NoiseModel,
@@ -180,7 +179,7 @@ def test_draw_block_matches_sequential_draws(kappa, delta, horizon, monkeypatch)
     want = _reference_draws(shard_rng(71, "draw", 0), 300, params.gamma, horizon, cum)
     rng = shard_rng(71, "draw", 0)
     # two blocks from one stream: splitting a shard into blocks changes no draw
-    monkeypatch.setattr(trajectories, "FRAME_BLOCK", 200)
+    monkeypatch.setattr(trajectories, "_block_rows", lambda gamma, horizon: 200)
     got = [_padded(block, noise.n_channels + 1)
            for block in _blocks(rng, 300, params, noise, horizon)]
     rows = [(t, lab) for times, labels in got for t, lab in zip(times, labels)]
@@ -206,8 +205,8 @@ def test_draw_block_matches_sequential_draws(kappa, delta, horizon, monkeypatch)
 def test_long_horizons_draw_smaller_blocks(monkeypatch):
     # a block's arrays grow with rows * gamma * horizon, so blocks shrink to
     # keep their expected event count near BLOCK_EVENTS
-    assert _block_rows(0.0, 5.0) == FRAME_BLOCK
-    assert _block_rows(1.0, BLOCK_EVENTS / FRAME_BLOCK) == FRAME_BLOCK
+    assert _block_rows(0.0, 5.0) == BLOCK_EVENTS
+    assert _block_rows(1.0, 0.5) == BLOCK_EVENTS  # a row counts as at least one event
     assert _block_rows(2.0, 10.0) == BLOCK_EVENTS // 20
     assert _block_rows(1.0, 1e7) == 1
     # and no estimate depends on the block size
