@@ -28,7 +28,7 @@ from .bounds import (
     theorem5_lower,
     toric_perturbative,
 )
-from .experiments import parse_config, run, verify
+from .experiments import MANIFEST_NAME, parse_config, run, verify
 
 
 def _cell(row, key):
@@ -78,7 +78,7 @@ def _cmd_run(args) -> int:
     manifest = run(config)
     for name in sorted(manifest.files):
         print(f"wrote {config.out_dir}/{name}")
-    print(f"wrote {config.out_dir}/manifest.json")
+    print(f"wrote {config.out_dir}/{MANIFEST_NAME}")
     print(f"experiment {manifest.experiment} done in {manifest.wall_clock_s:.2f}s")
     return 0
 

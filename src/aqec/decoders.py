@@ -9,9 +9,9 @@ held in ``Decoder.corrections``, which decodes a batch of syndromes: it
 accepts any s in [0, 2^(n-k)), raises ``ValueError`` outside it, and returns
 for each s a Hermitian Pauli whose syndrome is exactly s, so the frame after
 recovery is a zero-syndrome logical representative.  ``correction(s)`` is
-that batch on one syndrome.  A subclass maps an in-range syndrome to the
-correction's (x, z) masks in ``_masks``, or a batch of them in
-``_batch_masks``.  The raw-frame methods ``correction_masks``,
+that batch on one syndrome.  A subclass has one hook, ``_batch_masks``,
+which maps a batch of in-range syndromes to their corrections' (x, z)
+masks.  The raw-frame methods ``correction_masks``,
 ``star_defects`` and ``plaquette_defects`` stay only because
 ``bench/layers.py`` and ``bench/workloads.py`` call them.
 
@@ -73,10 +73,6 @@ class Decoder:
 
     def _batch_masks(self, syndromes) -> list:
         """(x, z) masks of the corrections for syndromes already in range."""
-        return [self._masks(s) for s in syndromes]
-
-    def _masks(self, s: int) -> tuple:
-        """(x, z) masks of the correction for a syndrome s already in range."""
         raise NotImplementedError
 
     def correction_masks(self, x_bits: int, z_bits: int) -> tuple:
@@ -90,8 +86,8 @@ class LookupDecoder(Decoder):
         super().__init__(code)
         self.table = table  # syndrome bits -> (corr_x, corr_z)
 
-    def _masks(self, s: int) -> tuple:
-        return self.table[s]
+    def _batch_masks(self, syndromes) -> list:
+        return [self.table[s] for s in syndromes]
 
     # bound in the class dict so tracers can wrap it per decoder class
     correction_masks = Decoder.correction_masks
@@ -142,18 +138,18 @@ class MajorityDecoder(Decoder):
         super().__init__(code)
         self._full = (1 << code.n) - 1
 
-    def _masks(self, s: int) -> tuple:
-        # reconstruct the X-error pattern with e_0 = 0 from boundary parities,
+    def _batch_masks(self, syndromes) -> list:
+        # reconstruct each X-error pattern with e_0 = 0 from boundary parities,
         # then pick the lighter of the two cosets (n odd => never a tie)
         n = self.code.n
-        e = 0
-        cur = 0
-        for i in range(n - 1):
-            cur ^= (s >> i) & 1
-            e |= cur << (i + 1)
-        if e.bit_count() > n // 2:
-            e ^= self._full
-        return e, 0
+        masks = []
+        for s in syndromes:
+            e = cur = 0
+            for i in range(n - 1):
+                cur ^= (s >> i) & 1
+                e |= cur << (i + 1)
+            masks.append((e ^ self._full if e.bit_count() > n // 2 else e, 0))
+        return masks
 
 
 # -- toric MWPM --------------------------------------------------------------

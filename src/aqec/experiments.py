@@ -266,7 +266,7 @@ class ResultManifest:
     version: str
     files: dict  # relative filename -> sha256 hex digest
     wall_clock_s: float
-    params_sha256: str = None  # _params_sha256 at run time; absent in older manifests
+    params_sha256: str  # _params_sha256 of params at run time; verify recomputes it
 
     def save(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -279,7 +279,7 @@ class ResultManifest:
             body = json.load(fh)
         if not isinstance(body, dict):
             raise ValueError(f"{path}: manifest is not a JSON object")
-        keys = [f.name for f in fields(ResultManifest) if f.name != "params_sha256"]
+        keys = [f.name for f in fields(ResultManifest)]
         missing = [k for k in keys if k not in body]
         if missing:
             raise ValueError(f"{path}: manifest lacks key(s) {', '.join(missing)}")
@@ -302,10 +302,9 @@ class ResultManifest:
         wrong = [k for k, spec in schema.items() if not _fits(spec.default, params[k])]
         if wrong:
             raise ValueError(f"{path}: manifest params of the wrong type: {', '.join(wrong)}")
-        digest = body.get("params_sha256")
-        if digest is not None and not isinstance(digest, str):
+        if not isinstance(body["params_sha256"], str):
             raise ValueError(f"{path}: manifest params_sha256 is not a string")
-        return ResultManifest(params_sha256=digest, **{k: body[k] for k in keys})
+        return ResultManifest(**{k: body[k] for k in keys})
 
 
 # -- runners ------------------------------------------------------------------------
@@ -846,10 +845,8 @@ def verify(manifest_path) -> VerifyReport:
     base = os.path.dirname(os.path.abspath(manifest_path))
     checks = []
     tables = _Strict({}, "table:{}", "needed but not listed in the manifest")
-    intact = True
-    if manifest.params_sha256 is not None:
-        intact = _params_sha256(manifest.params) == manifest.params_sha256
-        checks.append(("checksum:params", intact, "" if intact else "sha256 mismatch"))
+    intact = _params_sha256(manifest.params) == manifest.params_sha256
+    checks.append(("checksum:params", intact, "" if intact else "sha256 mismatch"))
     for name in sorted(manifest.files):
         path = os.path.join(base, name)
         if not os.path.exists(path):

@@ -122,9 +122,6 @@ class PauliOperator:
     def __str__(self):
         return self.to_string()
 
-    def __mul__(self, other: "PauliOperator") -> "PauliOperator":
-        return multiply(self, other)
-
 
 def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     """Group product a*b with exact phase tracking."""

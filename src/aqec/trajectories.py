@@ -399,22 +399,22 @@ def _sample_count(n_samples) -> int:
     return _require_count("n_samples", n_samples)
 
 
-def _chunks(n: int, size: int) -> list:
-    """Sizes of n split into consecutive chunks of size, the last one shorter."""
-    full, rem = divmod(n, size)
-    return [size] * full + ([rem] if rem else [])
-
-
 def _run_shards(fn, n_samples: int, shard_size: int, seed: int, tag: str,
                 workers: int):
-    """Sum of fn(n, shard_rng(seed, tag, i)) over shards, merged in shard order;
-    fn is a partial of a module-level function, so it pickles for the pool."""
-    sizes = _chunks(n_samples, shard_size)
+    """Sum of fn(n, shard_rng(seed, tag, i)) over the shards of n_samples
+    (shard_size each, the last one shorter), merged in shard order.
+
+    With workers > 1 and more than one shard, a pool of min(workers, shards)
+    processes runs them as at most that many tasks, each one contiguous run
+    of shards, so no process starts without a shard to run and fn (a partial
+    of a module-level function) is pickled once per task, not per shard."""
+    sizes = [min(shard_size, n_samples - i) for i in range(0, n_samples, shard_size)]
     rngs = [shard_rng(seed, tag, i) for i in range(len(sizes))]
-    if workers <= 1 or len(sizes) <= 1:
-        return sum(fn(n, rng) for n, rng in zip(sizes, rngs))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(fn, sizes, rngs))
+    pool_size = min(workers, len(sizes))
+    if pool_size <= 1:
+        return sum(map(fn, sizes, rngs))
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
+        return sum(pool.map(fn, sizes, rngs, chunksize=-(-len(sizes) // pool_size)))
 
 
 def _family_rates(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
@@ -492,9 +492,12 @@ def estimate_alpha(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
 
     Estimates the probability that a Z-basis logical state is flipped, i.e.
     that decoding the accumulated frame at time tau yields a nonzero X-type
-    class on any logical qubit.  For multi-logical codes this counts a flip of
-    the joint Z-basis codeword; single-logical marginals are available from
-    ``per_family`` of estimate_epsilon if needed.
+    class on any logical qubit.  For multi-logical codes, such as the toric
+    code's k = 2, this counts a flip of the joint Z-basis codeword, and no
+    per-logical marginal is reported: the rows of estimate_epsilon's
+    ``per_family`` are joint over all k logicals too (the Z, X and Y families
+    fail on any X-type class, on any Z-type class, and on a logical with
+    exactly one of the two types).
     """
     _require_finite("tau", tau)
     params = PoissonParams(kappa=0.0, delta=delta, n_channels=noise.n_channels)

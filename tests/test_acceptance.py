@@ -51,7 +51,7 @@ from aqec.lindblad import (
     recovery_lindbladian,
     stabilizer_recovery,
 )
-from aqec.paulis import PauliOperator, commutes, five_qubit_code, toric_code
+from aqec.paulis import PauliOperator, commutes, five_qubit_code, multiply, toric_code
 from aqec.trajectories import (
     NoiseModel,
     PoissonParams,
@@ -330,7 +330,7 @@ def test_property_suite_cross_checks(five_qubit):
     ok = True
     for (pa, ma), (pb, mb) in itertools.product(zip(paulis, mats), repeat=2):
         # pauli_matrix already carries the accumulated product phase
-        ok = ok and np.allclose(pauli_matrix(pa * pb), ma @ mb)
+        ok = ok and np.allclose(pauli_matrix(multiply(pa, pb)), ma @ mb)
         comm_dense = np.allclose(ma @ mb, mb @ ma)
         ok = ok and commutes(pa, pb) == comm_dense
         if not ok:

@@ -184,13 +184,11 @@ def test_verify_checks_params_checksum(tmp_path):
     target.write_text(json.dumps(edited))
     failed = [name for name, ok, _ in verify(path).checks if not ok]
     assert failed == ["checksum:params", "assertions"]
-    # a manifest written before the params were checksummed still loads and verifies
+    # a manifest without the params checksum is rejected: it would turn the check off
     del body["params_sha256"]
     target.write_text(json.dumps(body))
-    assert ResultManifest.load(path).params_sha256 is None
-    report = verify(path)
-    assert report.ok, report.lines()
-    assert not any(name == "checksum:params" for name, _, _ in report.checks)
+    with pytest.raises(ValueError, match="lacks key\\(s\\) params_sha256"):
+        ResultManifest.load(path)
 
 
 # sha256 of every CSV the desk defaults write, recorded before the Pauli and
@@ -524,7 +522,8 @@ def test_cli_run_empty_grid_exits_1(tmp_path, capsys, body, table):
 
 
 _MANIFEST_BODY = {"experiment": "appH", "params": {}, "seed": 1, "workers": 1,
-                  "full_scale": False, "version": "0", "files": {}, "wall_clock_s": 0.0}
+                  "full_scale": False, "version": "0", "files": {}, "wall_clock_s": 0.0,
+                  "params_sha256": "0" * 64}
 
 
 @pytest.mark.parametrize("body,named", [
@@ -612,12 +611,26 @@ def test_cli_verify_mistyped_param_exits_1(tmp_path, capsys):
     run(ExperimentConfig(experiment="figE7", out_dir=str(tmp_path / "e7")))
     manifest = tmp_path / "e7" / "manifest.json"
     body = json.loads(manifest.read_text())
-    del body["params_sha256"]
     body["params"]["h_fraction"] = "abc"
     manifest.write_text(json.dumps(body))
     assert cli.main(["verify", str(manifest)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "h_fraction" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_verify_manifest_without_params_checksum_exits_1(tmp_path, capsys):
+    # with the digest gone, edited params used to pass verify with no params check
+    run(ExperimentConfig(experiment="figE7", out_dir=str(tmp_path / "e7")))
+    manifest = tmp_path / "e7" / "manifest.json"
+    body = json.loads(manifest.read_text())
+    del body["params_sha256"]
+    body["params"].update(kd_values=[99.0], n_values=[7])
+    manifest.write_text(json.dumps(body))
+    assert cli.main(["verify", str(manifest)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "params_sha256" in captured.err
+    assert "PASS" not in captured.out
     assert "Traceback" not in captured.out + captured.err
 
 

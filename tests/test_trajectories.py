@@ -519,6 +519,45 @@ def test_epsilon_toric_worker_invariant():
     assert a.estimate[1] > 0
 
 
+@pytest.mark.parametrize("workers", [2, 8])
+@pytest.mark.parametrize("shards", [1, 3, 5])
+def test_run_shards_pool_never_outnumbers_its_shards(workers, shards, monkeypatch):
+    # a stand-in pool records its size and its tasks and maps in this process
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            jobs = list(zip(*iterables))
+            self.tasks = len(range(0, len(jobs), chunksize))  # one per chunk
+            return [fn(*job) for job in jobs]
+
+    monkeypatch.setattr(trajectories, "ProcessPoolExecutor", SerialPool)
+
+    def shard(n, rng):
+        return np.array([n, rng.integers(1 << 40)])
+
+    n_samples = 10 * shards - 3
+    want = trajectories._run_shards(shard, n_samples, 10, 5, "pool", workers=1)
+    got = trajectories._run_shards(shard, n_samples, 10, 5, "pool", workers=workers)
+    assert np.array_equal(got, want) and want[0] == n_samples
+    if shards == 1:
+        assert pools == []
+    else:
+        [pool] = pools
+        assert pool.max_workers == min(workers, shards)
+        assert 1 < pool.tasks <= pool.max_workers
+
+
 @pytest.mark.parametrize("n_samples", [0, -3])
 def test_estimators_reject_nonpositive_sample_counts(n_samples):
     code = five_qubit_code()
