@@ -158,7 +158,13 @@ def soft_threshold(inputs: BoundInputs) -> SoftThreshold:
     """Minimize the late-time rate kappa (ell r / r0)^(ell+1) over integer ell.
 
     r = delta / kappa.  The continuous minimizer is ell = r0 / (e r) and the
-    minimal rate is O(kappa exp(-r0 / r)).
+    minimal rate is O(kappa exp(-r0 / r)).  The log-rate (ell + 1) ln(ell r / r0)
+    is convex in ell >= 1 and its integer argmin lies within two of r0 / (e r),
+    so only the integers from floor(r0 / (e r)) - 2 to ceil(r0 / (e r)) + 2,
+    and none below 1, are compared, in log space: the rates themselves
+    underflow or overflow at small r.  Ties keep the smallest ell.
+    ``gamma_min`` is the rate at ``ell_min``, 0.0 where it is below the float
+    range.
     """
     inputs.require("kappa", "delta", "r0")
     if inputs.kappa <= 0 or inputs.r0 <= 0:
@@ -167,13 +173,13 @@ def soft_threshold(inputs: BoundInputs) -> SoftThreshold:
     if r == 0:
         raise ValueError("delta must be positive for the scan")
     predicted = inputs.r0 / (math.e * r)
-    top = max(10, math.ceil(3 * predicted) + 5)
-    best_ell, best = 1, math.inf
-    for ell in range(1, top + 1):
-        rate = inputs.kappa * (ell * r / inputs.r0) ** (ell + 1)
-        if rate < best:
-            best_ell, best = ell, rate
-    return SoftThreshold(ell_min=best_ell, gamma_min=best, ell_predicted=predicted)
+    if math.isinf(predicted):
+        raise ValueError("delta / kappa is too small for the scan")
+    lo = max(1, math.floor(predicted) - 2)
+    ell = min(range(lo, math.ceil(predicted) + 3),
+              key=lambda ell: (ell + 1) * math.log(ell * r / inputs.r0))
+    gamma = inputs.kappa * (ell * r / inputs.r0) ** (ell + 1)
+    return SoftThreshold(ell_min=ell, gamma_min=gamma, ell_predicted=predicted)
 
 
 def theorem2_bound(inputs: BoundInputs, t):

@@ -28,7 +28,7 @@ from .bounds import (
     theorem5_lower,
     toric_perturbative,
 )
-from .experiments import MANIFEST_NAME, parse_config, run, verify
+from .experiments import MANIFEST_NAME, _fmt, parse_config, run, verify
 
 
 def _cell(row, key):
@@ -103,7 +103,7 @@ def _cmd_bounds(args) -> int:
     for row in rows:
         value, extra = _eval_bounds_row(row)
         writer.writerow([row.get(k, "") or "" for k in fieldnames]
-                        + [format(float(value), ".12g"), extra])
+                        + [_fmt(float(value)), extra])
     sys.stdout.write(out.getvalue())
     return 0
 
@@ -112,7 +112,7 @@ def _cmd_recurrence(args) -> int:
     sol = solve_recurrence(args.h, args.n, args.p1)
     print("v,s,log_s")
     for v, (s, ls) in enumerate(zip(sol.s, sol.log_s)):
-        print(f"{v},{format(float(s), '.12g')},{format(float(ls), '.12g')}")
+        print(f"{v},{_fmt(float(s))},{_fmt(float(ls))}")
     return 0
 
 

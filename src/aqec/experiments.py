@@ -309,16 +309,32 @@ class ResultManifest:
 
 # -- runners ------------------------------------------------------------------------
 # Each runner returns {filename: (header, rows)}; run() writes and hashes them.
+# A table named by a parameter takes its name from one function, which the
+# runner and the verifier both call.
+
+
+def _fig2_rate_name(r) -> str:
+    return f"fig2_rate_r{_fmt(float(r))}.csv"
+
+
+def _fig4a_name(L) -> str:
+    return f"fig4a_L{L}.csv"
+
+
+def _fig5b_name(theorem: str, L) -> str:
+    return f"fig5b_{theorem}_L{L}.csv"
 
 
 def _run_fig2(p, seed, workers, full_scale):
+    if not p["r_values"]:
+        raise ValueError("r_values: the config gives no value")
     out = {}
     for r in p["r_values"]:
         kappa, r0 = p["kappa"], p["r0"]
         ells = np.arange(1, p["ell_max"] + 1)
         rates = kappa * (ells * r / r0) ** (ells + 1.0)
         rows = [(int(l), rate, r) for l, rate in zip(ells, rates)]
-        out[f"fig2_rate_r{_fmt(float(r))}.csv"] = (("x", "y", "r"), rows)
+        out[_fig2_rate_name(r)] = (("x", "y", "r"), rows)
     r_lo, r_hi = min(p["r_values"]), max(p["r_values"])
     grid = np.geomspace(r_lo, r_hi, p["r_grid_points"])
     rows = []
@@ -367,7 +383,7 @@ def _run_fig4a(p, seed, workers, full_scale):
                                  delta=p["delta"])
             rows.append((float(tau), float(est.estimate[0]), float(est.stderr[0]),
                          L, p["samples"]))
-        out[f"fig4a_L{L}.csv"] = (("x", "y", "stderr", "side", "samples"), rows)
+        out[_fig4a_name(L)] = (("x", "y", "stderr", "side", "samples"), rows)
     return out
 
 
@@ -423,9 +439,9 @@ def _run_fig5b(p, seed, workers, full_scale):
                              n_channels=n)
         tail = ("side", "h", "kappa", "delta", "n_channels")
         const = (L, h, kappa, p["delta"], n)
-        out[f"fig5b_theorem2_L{L}.csv"] = (
+        out[_fig5b_name("theorem2", L)] = (
             ("x", "y") + tail, [(t, theorem2_bound(inputs, t)) + const for t in ts])
-        out[f"fig5b_theorem3_L{L}.csv"] = (
+        out[_fig5b_name("theorem3", L)] = (
             ("x", "y") + tail, [(t, theorem3_bound(inputs, t)) + const for t in ts])
     return out
 
@@ -497,6 +513,8 @@ def _run_fig6(p, seed, workers, full_scale):
 
 def _ratio_tables(p, fig: str):
     """Per-kd recurrence-vs-power CSVs and their (N, h, ln_ratio) rows by kd."""
+    if not p["n_values"]:
+        raise ValueError("n_values: the config gives no value")
     out = {}
     by_kd = {}
     for kd in p["kd_values"]:
@@ -618,14 +636,13 @@ def _crossing(x, y, level):
 
 
 def _verify_fig2(tables, params):
+    minima = tables["fig2_minima.csv"]  # first: a manifest with no files names it
     checks = []
-    for name, cols in tables.items():
-        if not name.startswith("fig2_rate"):
-            continue
+    for name in sorted({_fig2_rate_name(r) for r in params["r_values"]}):
+        cols = tables[name]
         idx = int(np.argmin(cols["y"]))
         interior = 0 < idx < len(cols["y"]) - 1
         checks.append((f"{name}:interior_minimum", interior, f"argmin index {idx}"))
-    minima = tables["fig2_minima.csv"]
     increasing = bool(np.all(np.diff(minima["y"]) > 0))
     checks.append(("fig2_minima:gamma_min_increasing_in_r", increasing, ""))
     nonincreasing = bool(np.all(np.diff(minima["ell_min"]) <= 0))
@@ -652,7 +669,8 @@ def _verify_fig3(tables, params):
 
 def _verify_fig4a(tables, params):
     checks = []
-    for name, cols in sorted(tables.items()):
+    for name in sorted({_fig4a_name(L) for L in params["l_values"]}):
+        cols = tables[name]
         slack = 4 * (cols["stderr"][1:] + cols["stderr"][:-1])
         checks.append((f"{name}:nondecreasing_within_4_sigma",
                        _monotone_within(cols["y"], slack), ""))
@@ -688,16 +706,16 @@ def _verify_fig5a(tables, params):
 
 def _verify_fig5b(tables, params):
     checks = []
-    power_bound = {}
-    recurrence = {}
-    for name, cols in sorted(tables.items()):
+    sides = sorted(set(params["l_values"]))
+    for name in sorted(_fig5b_name(t, L) for t in ("theorem2", "theorem3") for L in sides):
+        cols = tables[name]
         in_range = bool(np.all((cols["y"] >= 0) & (cols["y"] <= 1)))
         checks.append((f"{name}:values_in_unit_interval", in_range, ""))
         checks.append((f"{name}:nondecreasing", _monotone_within(cols["y"], 0.0), ""))
-        side = int(cols["side"][0])
-        (power_bound if "theorem2" in name else recurrence)[side] = cols["y"]
-    for side in sorted(power_bound):
-        ok = bool(np.all(recurrence[side] <= power_bound[side] * (1 + 1e-9) + 1e-15))
+    for side in sides:
+        power_bound, recurrence = (tables[_fig5b_name(t, side)]["y"]
+                                   for t in ("theorem2", "theorem3"))
+        ok = bool(np.all(recurrence <= power_bound * (1 + 1e-9) + 1e-15))
         checks.append((f"fig5b_L{side}:recurrence_below_power_bound", ok, ""))
     return checks
 

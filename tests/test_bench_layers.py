@@ -47,13 +47,21 @@ def test_bench_per_layer_reads_traced_mwpm_decodes(monkeypatch):
     import layers
     import spans
 
-    dec = decoders.MwpmDecoder(paulis.toric_code(4))
+    dec = decoders.MwpmDecoder(paulis.toric_code(6))
     rng = np.random.default_rng(4)
     frames = [(1 << 3, 0), (0, 1 << 7), ((1 << 3) | (1 << 20), 1 << 9), (1 << 3, 0)]
     while len(frames) < 6:  # two frames past the DP cap, decoded by blossom
         x_bits = sum(1 << q for q in range(dec.code.n) if rng.random() < 0.45)
-        if len(dec.star_defects(x_bits)) > layers.DP_DEFECT_CAP:
+        if len(dec.star_defects(x_bits)) > decoders._DP_DEFECT_CAP:
             frames.append((x_bits, 0))
+    blossom_calls = []
+    blossom = decoders._blossom_min_matching
+
+    def counting_blossom(dist):
+        blossom_calls.append(len(dist))
+        return blossom(dist)
+
+    monkeypatch.setattr(decoders, "_blossom_min_matching", counting_blossom)
     tracer = spans.Tracer()
     try:
         layers.install(tracer, full=True)
@@ -61,6 +69,7 @@ def test_bench_per_layer_reads_traced_mwpm_decodes(monkeypatch):
             dec.correction_masks(x_bits, z_bits)
     finally:
         tracer.restore()
+    assert len(blossom_calls) == 2 and min(blossom_calls) > decoders._DP_DEFECT_CAP
     metrics = layers.per_layer(tracer, range(len(tracer.spans)), tracer.self_times())
     assert metrics["decoders.mwpm.decodes"] == len(frames)
     assert metrics["decoders.mwpm.distinct_frame_ratio"] == len(set(frames)) / len(frames)

@@ -137,6 +137,19 @@ def test_soft_threshold_scan():
     assert gamma_min < 2.0 and ell_min >= 1 and pred > 0
 
 
+def test_soft_threshold_matches_a_full_log_scan():
+    # the raw-rate scan used to underflow to 0 and stop early (ell_min 413
+    # against 919 at r = 4e-4), and to overflow at r = 1e-4
+    for r in np.geomspace(1e-5, 2.0, 400):
+        st = soft_threshold(BoundInputs(kappa=1.0, delta=float(r), r0=1.0))
+        ells = np.arange(1, int(3 / (math.e * r)) + 20)
+        assert st.ell_min == 1 + int(np.argmin((ells + 1) * np.log(ells * r)))
+        assert st.gamma_min == (st.ell_min * r) ** (st.ell_min + 1)
+    # an r0 / (e r) past the float range used to leak an OverflowError
+    with pytest.raises(ValueError, match="too small for the scan"):
+        soft_threshold(BoundInputs(kappa=1e10, delta=1e-300, r0=1.0))
+
+
 def test_theorem2_limits():
     bi = BoundInputs(xi=0.0, h=4, ell=2, kappa=0.0, delta=0.3, n_channels=5)
     t = np.array([0.1, 1.0, 10.0])

@@ -320,18 +320,63 @@ def test_batched_dp_keeps_the_recursive_dp_pairs_on_floats():
         assert [list(map(tuple, p)) for p in _dp_matchings(dist).tolist()] == want
 
 
+def _walked_path(L, s1, s2, vert, horiz, shift):
+    """Edge mask of the canonical path between sites, walked step by step:
+    the vertical leg from s1's row to s2's row in s1's column, then the
+    horizontal leg in s2's row.  Each leg goes the shorter way round the
+    ring, up on an exact-half tie; a step from coordinate a toward a + sgn
+    crosses edge a + shift - (sgn < 0) of the leg's edge family."""
+    def leg(a, b):
+        fwd, bwd = (b - a) % L, (a - b) % L
+        return (fwd, +1) if fwd <= bwd else (bwd, -1)
+
+    r1, c1 = divmod(s1, L)
+    r2, c2 = divmod(s2, L)
+    mask = 0
+    steps, sgn = leg(r1, r2)
+    r = r1
+    for _ in range(steps):
+        mask ^= 1 << vert(r + shift - (sgn < 0), c1)
+        r += sgn
+    steps, sgn = leg(c1, c2)
+    c = c1
+    for _ in range(steps):
+        mask ^= 1 << horiz(r2, c + shift - (sgn < 0))
+        c += sgn
+    return mask
+
+
+def _geometries(L):
+    """(sector, (vert, horiz, shift)): primal paths join vertices on (v, h, 0),
+    dual paths join faces on (h, v, 1)."""
+    h, v = _toric_edges(L)
+    return (("star", (v, h, 0)), ("plaquette", (h, v, 1)))
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6, 7, 8, 11])
+def test_path_table_matches_walked_paths(L):
+    dec = MwpmDecoder(toric_code(L))
+    sites = range(L * L)
+    for sector, geometry in _geometries(L):
+        paths = dec._paths[sector]
+        assert paths.shape == (L * L, L * L) and paths.dtype == object
+        for a in sites:
+            for b in sites:
+                assert paths[a, b] == _walked_path(L, a, b, *geometry)
+                assert paths[a, b].bit_count() == dec._dist_array[a, b]
+
+
 def _reference_masks(dec, s):
     """(x, z) correction masks of syndrome s from the recursive DP (blossom
     above the cap) and freshly walked paths."""
     masks = []
-    h, v = _toric_edges(dec.L)
-    for sector, geometry in (("star", (v, h, 0)), ("plaquette", (h, v, 1))):
+    for sector, geometry in _geometries(dec.L):
         defects = dec._defects_from_syndrome(s, sector)
         dist = dec._dist_array[np.ix_(defects, defects)].tolist()
         match = _recursive_dp_min_matching if len(defects) <= _DP_DEFECT_CAP else _blossom_min_matching
         mask = 0
         for i, j in match(dist) if defects else []:
-            mask ^= dec._path(defects[i], defects[j], *geometry)
+            mask ^= _walked_path(dec.L, defects[i], defects[j], *geometry)
         masks.append(mask)
     return tuple(masks)
 

@@ -1,9 +1,11 @@
 """Experiment driver and CLI tests: configs, manifests, determinism, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -511,8 +513,11 @@ def test_cli_run_degenerate_fit_exits_1(tmp_path, capsys, body, key, distinct):
     ("experiment = appH\nl_values =\n", "appH_table.csv"),
     ("experiment = fig2\nr_grid_points = 0\n", "fig2_minima.csv"),
     ("experiment = fig6\ndelta_values =\n", "fig6_rates.csv"),
+    # these two used to name no key: min() and numpy's max() of nothing
+    ("experiment = fig2\nr_values =\n", "r_values"),
+    ("experiment = figE8\nn_values =\n", "n_values"),
 ], ids=["fig4a_no_tau", "fig5b_no_t", "fig4a_no_l", "appH_no_l", "fig2_no_grid",
-        "fig6_no_delta"])
+        "fig6_no_delta", "fig2_no_r", "figE8_no_n"])
 def test_cli_run_empty_grid_exits_1(tmp_path, capsys, body, table):
     cfg_path = _write(tmp_path / "c.cfg", body + f"out_dir = {tmp_path / 'out'}\n")
     assert cli.main(["run", cfg_path]) == 1
@@ -563,6 +568,28 @@ def test_cli_verify_unlisted_table_exits_2(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL table:fig2_minima.csv" in out
     assert "Traceback" not in out
+
+
+@pytest.mark.parametrize("experiment,keep,missing", [
+    # a theorem2-only fig5b manifest used to crash verify with KeyError: 4
+    ("fig5b", ("fig5b_theorem2_",), "fig5b_theorem3_L4.csv"),
+    # the other three used to pass verify with no science check
+    ("fig5b", (), "fig5b_theorem2_L4.csv"),
+    ("fig4a", (), "fig4a_L3.csv"),
+    ("fig2", ("fig2_minima",), "fig2_rate_r0.005.csv"),
+], ids=["fig5b_theorem2_only", "fig5b_no_files", "fig4a_no_files", "fig2_minima_only"])
+def test_cli_verify_stripped_manifest_exits_2(tmp_path, capsys, experiment, keep, missing):
+    # the verifier reads the tables its checksummed params name, whatever
+    # the manifest lists
+    run(ExperimentConfig(experiment=experiment, out_dir=str(tmp_path / "out")))
+    target = tmp_path / "out" / "manifest.json"
+    body = json.loads(target.read_text())
+    body["files"] = {k: v for k, v in body["files"].items() if k.startswith(keep)}
+    target.write_text(json.dumps(body))
+    assert cli.main(["verify", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert f"FAIL table:{missing}: needed but not listed in the manifest" in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 def _rewrite_table(run_dir, name, edit):
@@ -671,6 +698,24 @@ def test_cli_bounds_grid(tmp_path, capsys):
     assert values[0] == pytest.approx(np.exp(-1.0), rel=1e-12)
     assert values[1] == pytest.approx(2.0 ** -7, rel=1e-12)
     assert values[2] == pytest.approx(-np.expm1(-2.0 / 64.0), rel=1e-12)
+
+
+def test_cli_bounds_soft_threshold_small_ratio(tmp_path, capsys):
+    # at delta = 1e-4 the raw-rate scan used to leak an OverflowError
+    # traceback, and at 1e-9 it would scan a billion ell
+    grid = _write(tmp_path / "g.csv", "op,kappa,delta,r0\n"
+                  "soft_threshold,1.0,1e-4,1.0\nsoft_threshold,1.0,1e-9,1.0\n")
+    start = time.monotonic()
+    assert cli.main(["bounds", "--grid", grid]) == 0
+    assert time.monotonic() - start < 5.0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert rows[0] == "soft_threshold,1.0,1e-4,1.0,0,ell_min=3678"
+    ell = int(rows[1].rsplit("=", 1)[1])
+
+    def log_rate(ell):
+        return (ell + 1) * math.log(ell * 1e-9)
+
+    assert log_rate(ell - 1) > log_rate(ell) <= log_rate(ell + 1)  # the first minimum
 
 
 @pytest.mark.parametrize("t", ["", "-1.0", "nan"])
