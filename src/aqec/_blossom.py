@@ -7,17 +7,42 @@ is ``W[v][w]``, ``G.neighbors(v)`` is every other vertex in ascending order,
 and ``G.edges()`` is the pairs (i, j), i < j, in order.  Every scan, tie and
 iteration order of the original is kept, so the returned matching is the
 one networkx returns for the graph built by adding the edges (i, j, W[i][j])
-for i < j in that order.  What differs: the branches this package never
-reaches (``maxcardinality=False``, non-integer weights) are dropped; the
-allowed-edge set is a boolean matrix; ``None`` is ``scanBlossom``'s
-no-vertex sentinel in place of a dummy class (vertices are ints 0..m-1);
-the delta-2 and delta-3 actions, the same four statements, share one branch;
-and ``expandBlossom`` and ``augmentBlossom`` call themselves where networkx
-runs a generator-stack trampoline, each nested call ending before its parent
-resumes either way.  Blossoms nest at most (m - 1) / 2 deep, since each level
-adds at least two vertices: 60 frames at m = 121 (toric L = 11), far below
-Python's recursion limit.  The dual optimality certificate
-(``verifyOptimum``) runs on every call.
+for i < j in that order.  What differs, and why each keeps every order:
+
+- the branches this package never reaches (``maxcardinality=False``,
+  non-integer weights) are dropped;
+- ``None`` is ``scanBlossom``'s no-vertex sentinel in place of a dummy class
+  (vertices are ints 0..m-1);
+- the delta-2 and delta-3 actions, the same four statements, share one
+  branch;
+- ``expandBlossom`` and ``augmentBlossom`` call themselves where networkx
+  runs a generator-stack trampoline, each nested call ending before its
+  parent resumes either way.  Blossoms nest at most (m - 1) / 2 deep, since
+  each level adds at least two vertices: 60 frames at m = 121 (toric
+  L = 11), far below Python's recursion limit;
+- the neighbour lists are built once per m and shared (``_neighbors``):
+  they are the same ascending lists every call builds, and nothing writes
+  to them;
+- ``maxweight`` is the maximum over the rows' upper-triangle slices: the
+  same set of weights as networkx's scan of ``G.edges()``;
+- the allowed-edge set is one m x m table per call holding the number of
+  the stage that allowed each edge, where networkx makes a new set every
+  stage: an entry counts only if it equals the current stage, so each stage
+  starts with no allowed edge either way;
+- a single vertex that is its own top-level blossom is labelled S inline at
+  stage start, by the four statements ``assignLabel(v, 1, None)`` runs for
+  it (its assert is the test just made); blossoms still go through
+  ``assignLabel``, and the queue gets the same vertices in the same order;
+- the neighbour scan reads ``inblossom[v]`` and the slack of
+  ``bestedge[inblossom[v]]`` into locals, and re-reads both after every
+  label or blossom action, the only steps that can change them: no dual
+  moves within a scan, so every slack compared is the one networkx
+  computes, and each comparison is the same;
+- the dual optimality certificate, ``_verify_optimum``, makes networkx's
+  ``verifyOptimum`` checks on one matrix of 2 * slack (vertex duals, plus
+  2z on the leaf pairs of each blossom with z > 0, the blossoms with z = 0
+  adding nothing).  It runs once at the end of every call, and the
+  per-stage check that the matching is symmetric stays.
 
 The original is distributed under the 3-clause BSD license:
 
@@ -58,6 +83,8 @@ The original is distributed under the 3-clause BSD license:
 
 from __future__ import annotations
 
+import functools
+
 __all__ = ["max_weight_matching"]
 
 
@@ -89,6 +116,53 @@ class Blossom:
                 yield t
 
 
+@functools.cache
+def _neighbors(m: int) -> tuple:
+    """neighbors[v]: every vertex of the complete graph on m vertices but v,
+    ascending (networkx's ``G.neighbors(v)`` order), built once per m."""
+    return tuple(tuple(w for w in range(m) if w != v) for v in range(m))
+
+
+def _verify_optimum(W2, dualvar, blossomdual, mate) -> None:
+    """Raise AssertionError unless the duals certify the matching as optimal:
+    networkx's ``verifyOptimum`` checks, on one matrix of 2 * slack.  W2 is
+    2 * the weights, dualvar 2 * the vertex duals, blossomdual z of each
+    (nested or top-level) blossom, mate the matching as a dict."""
+    # Vertices may have negative dual;
+    # find a constant non-negative number to add to all vertex duals.
+    vdualoffset = max(0, -min(dualvar))
+    # 0. all dual variables are non-negative
+    assert min(dualvar) + vdualoffset >= 0
+    assert len(blossomdual) == 0 or min(blossomdual.values()) >= 0, "negative blossom dual"
+    # slack[i][j]: 2 * slack of edge (i, j), with 2z of every blossom that
+    # holds both ends (blossoms with z = 0 add nothing)
+    slack = [[di + dj - w2 for dj, w2 in zip(dualvar, row)] for di, row in zip(dualvar, W2)]
+    for b, z in blossomdual.items():
+        if z > 0:
+            leaves = list(b.leaves())
+            for i in leaves:
+                row = slack[i]
+                for j in leaves:
+                    row[j] += 2 * z
+    # 0. all edges have non-negative slack and
+    for i, row in enumerate(slack[:-1]):
+        assert min(row[i + 1:]) >= 0, "negative slack"
+    # 1. all matched edges have zero slack;
+    for i, j in mate.items():
+        assert mate.get(j) == i, "asymmetric mate"
+        assert slack[i][j] == 0, "matched edge with nonzero slack"
+    # 2. all single vertices have zero dual value;
+    for v, dv in enumerate(dualvar):
+        assert (v in mate) or dv + vdualoffset == 0, "single vertex with nonzero dual"
+    # 3. all blossoms with positive dual value are full.
+    for b, z in blossomdual.items():
+        if z > 0:
+            assert len(b.edges) % 2 == 1, "positive blossom with even edge count"
+            for i, j in b.edges[1::2]:
+                assert mate[i] == j and mate[j] == i, "positive blossom not full"
+    # Ok.
+
+
 def max_weight_matching(W) -> list:
     """Mates of the maximum-weight maximum-cardinality matching: a list with
     mate[v] the partner of vertex v (None if v is single), on the complete
@@ -109,13 +183,12 @@ def max_weight_matching(W) -> list:
     gnodes = range(len(W))
     if not gnodes:
         return []
-    neighbors = [[w for w in gnodes if w != v] for v in gnodes]
-    edges = [(i, j) for i in gnodes for j in gnodes if i < j]
+    neighbors = _neighbors(len(W))
 
     # Find the maximum edge weight.  The weights are ints, so every dual
     # stays an integer and the optimum is always verified.
-    maxweight = max([0] + [W[i][j] for i, j in edges])
-    # 2 * w(v, w), read by slack()
+    maxweight = max([0] + [max(row[v + 1:]) for v, row in enumerate(W[:-1])])
+    # 2 * w(v, w), read by the slack computations
     W2 = [[2 * wt for wt in row] for row in W]
 
     # If v is a matched vertex, mate[v] is its partner vertex.
@@ -179,10 +252,12 @@ def max_weight_matching(W) -> list:
     # optimization problem.
     blossomdual = {}
 
-    # If allowedge[v][w] (and so allowedge[w][v]), then the edge
+    # If allowedge[v][w] == stage (and so allowedge[w][v]), then the edge
     # (v, w) is known to have zero slack in the optimization problem;
-    # otherwise the edge may or may not have zero slack.
-    allowedge = None
+    # otherwise the edge may or may not have zero slack.  Stamping with the
+    # stage number forgets every earlier stage's entries without a new table.
+    allowedge = [[0] * len(gnodes) for _ in gnodes]
+    stage = 0
 
     # Queue of newly discovered S-vertices.
     queue = []
@@ -391,14 +466,14 @@ def max_weight_matching(W) -> list:
                 label[q] = None
                 assignLabel(w, 2, v)
                 # Step to the next S-sub-blossom and note its forward edge.
-                allowedge[p][q] = allowedge[q][p] = True
+                allowedge[p][q] = allowedge[q][p] = stage
                 j += jstep
                 if jstep == 1:
                     v, w = b.edges[j]
                 else:
                     w, v = b.edges[j - 1]
                 # Step to the next T-sub-blossom.
-                allowedge[v][w] = allowedge[w][v] = True
+                allowedge[v][w] = allowedge[w][v] = stage
                 j += jstep
             # Relabel the base T-sub-blossom WITHOUT stepping through to
             # its mate (so don't call assignLabel).
@@ -521,45 +596,6 @@ def max_weight_matching(W) -> list:
                 # Update mate[j]
                 mate[j] = s
 
-    # Verify that the optimum solution has been reached.
-    def verifyOptimum():
-        # Vertices may have negative dual;
-        # find a constant non-negative number to add to all vertex duals.
-        vdualoffset = max(0, -min(dualvar))
-        # 0. all dual variables are non-negative
-        assert min(dualvar) + vdualoffset >= 0
-        assert len(blossomdual) == 0 or min(blossomdual.values()) >= 0
-        # 0. all edges have non-negative slack and
-        # 1. all matched edges have zero slack;
-        # vblossoms[v]: the blossoms containing v, outermost first, then v
-        vblossoms = []
-        for v in gnodes:
-            chain = [v]
-            while blossomparent[chain[-1]] is not None:
-                chain.append(blossomparent[chain[-1]])
-            chain.reverse()
-            vblossoms.append(chain)
-        for i, j in edges:
-            s = dualvar[i] + dualvar[j] - W2[i][j]
-            for bi, bj in zip(vblossoms[i], vblossoms[j]):
-                if bi != bj:
-                    break
-                s += 2 * blossomdual[bi]
-            assert s >= 0
-            if mate.get(i) == j or mate.get(j) == i:
-                assert mate[i] == j and mate[j] == i
-                assert s == 0
-        # 2. all single vertices have zero dual value;
-        for v in gnodes:
-            assert (v in mate) or dualvar[v] + vdualoffset == 0
-        # 3. all blossoms with positive dual value are full.
-        for b in blossomdual:
-            if blossomdual[b] > 0:
-                assert len(b.edges) % 2 == 1
-                for i, j in b.edges[1::2]:
-                    assert mate[i] == j and mate[j] == i
-        # Ok.
-
     # Main loop: continue until no further improvement is possible.
     while 1:
         # Each iteration of this loop is a "stage".
@@ -577,15 +613,25 @@ def max_weight_matching(W) -> list:
 
         # Loss of labeling means that we can not be sure that currently
         # allowable edges remain allowable throughout this stage.
-        allowedge = [[False] * len(gnodes) for _ in gnodes]
+        stage += 1
 
         # Make queue empty.
         queue[:] = []
 
         # Label single blossoms/vertices with S and put them in the queue.
         for v in gnodes:
-            if (v not in mate) and label.get(inblossom[v]) is None:
-                assignLabel(v, 1, None)
+            if v not in mate:
+                b = inblossom[v]
+                if label.get(b) is None:
+                    if b == v:
+                        # assignLabel(v, 1, None) on a trivial blossom: its
+                        # assert is the test just made
+                        label[v] = 1
+                        labeledge[v] = None
+                        bestedge[v] = None
+                        queue.append(v)
+                    else:
+                        assignLabel(v, 1, None)
 
         # Loop until we succeed in augmenting the matching.
         augmented = 0
@@ -603,24 +649,29 @@ def max_weight_matching(W) -> list:
                 # Take an S vertex from the queue.
                 v = queue.pop()
                 assert label[inblossom[v]] == 1
-                # no dual moves and no stage ends within this scan
+                # no dual moves and no stage ends within this scan, so v's
+                # row and each slack stay valid until the next label or
+                # blossom action, after which bv and bvslack are re-read:
+                # bv = inblossom[v], bvslack the slack of bestedge[bv]
                 allowv, dualv, W2v = allowedge[v], dualvar[v], W2[v]
+                bv = inblossom[v]
+                e = bestedge.get(bv)
+                bvslack = None if e is None else dualvar[e[0]] + dualvar[e[1]] - W2[e[0]][e[1]]
 
                 # Scan its neighbors:
                 for w in neighbors[v]:
                     # w is a neighbor to v
-                    bv = inblossom[v]
                     bw = inblossom[w]
                     if bv == bw:
                         # this edge is internal to a blossom; ignore it
                         continue
-                    if not allowv[w]:
+                    if allowv[w] != stage:
                         kslack = dualv + dualvar[w] - W2v[w]
                         if kslack <= 0:
                             # edge k has zero slack => it is allowable
-                            allowv[w] = allowedge[w][v] = True
+                            allowv[w] = allowedge[w][v] = stage
                     labelbw = label.get(bw)
-                    if allowv[w]:
+                    if allowv[w] == stage:
                         if labelbw is None:
                             # (C1) w is a free vertex;
                             # label w with T and label its mate with S (R12).
@@ -648,16 +699,22 @@ def max_weight_matching(W) -> list:
                             assert label[bw] == 2
                             label[w] = 2
                             labeledge[w] = (v, w)
+                            continue
+                        bv = inblossom[v]
+                        e = bestedge.get(bv)
+                        bvslack = None if e is None else dualvar[e[0]] + dualvar[e[1]] - W2[e[0]][e[1]]
                     elif labelbw == 1:
                         # keep track of the least-slack non-allowable edge to
                         # a different S-blossom.
-                        if bestedge.get(bv) is None or kslack < slack(*bestedge[bv]):
+                        if bvslack is None or kslack < bvslack:
                             bestedge[bv] = (v, w)
+                            bvslack = kslack
                     elif label.get(w) is None:
                         # w is a free vertex (or an unreached vertex inside
                         # a T-blossom) but we can not reach it yet;
                         # keep track of the least-slack edge that reaches w.
-                        if bestedge.get(w) is None or kslack < slack(*bestedge[w]):
+                        e = bestedge.get(w)
+                        if e is None or kslack < dualvar[e[0]] + dualvar[e[1]] - W2[e[0]][e[1]]:
                             bestedge[w] = (v, w)
 
             if augmented:
@@ -740,7 +797,7 @@ def max_weight_matching(W) -> list:
                 # Use the least-slack edge to continue the search.
                 (v, w) = deltaedge
                 assert label[inblossom[v]] == 1
-                allowedge[v][w] = allowedge[w][v] = True
+                allowedge[v][w] = allowedge[w][v] = stage
                 queue.append(v)
             elif deltatype == 4:
                 # Expand the least-z blossom.
@@ -764,6 +821,6 @@ def max_weight_matching(W) -> list:
                 expandBlossom(b, True)
 
     # Verify that we reached the optimum solution.
-    verifyOptimum()
+    _verify_optimum(W2, dualvar, blossomdual, mate)
 
     return [mate.get(v) for v in gnodes]

@@ -164,7 +164,8 @@ def soft_threshold(inputs: BoundInputs) -> SoftThreshold:
     and none below 1, are compared, in log space: the rates themselves
     underflow or overflow at small r.  Ties keep the smallest ell.
     ``gamma_min`` is the rate at ``ell_min``, 0.0 where it is below the float
-    range.
+    range; a rate above the float range (large delta / kappa) raises
+    ``ValueError``.
     """
     inputs.require("kappa", "delta", "r0")
     if inputs.kappa <= 0 or inputs.r0 <= 0:
@@ -178,7 +179,12 @@ def soft_threshold(inputs: BoundInputs) -> SoftThreshold:
     lo = max(1, math.floor(predicted) - 2)
     ell = min(range(lo, math.ceil(predicted) + 3),
               key=lambda ell: (ell + 1) * math.log(ell * r / inputs.r0))
-    gamma = inputs.kappa * (ell * r / inputs.r0) ** (ell + 1)
+    try:
+        gamma = inputs.kappa * (ell * r / inputs.r0) ** (ell + 1)
+    except OverflowError:
+        gamma = math.inf
+    if math.isinf(gamma):
+        raise ValueError("the minimal rate kappa (ell r / r0)^(ell+1) is past the float range")
     return SoftThreshold(ell_min=ell, gamma_min=gamma, ell_predicted=predicted)
 
 

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from aqec import decoders
+from aqec import _blossom, decoders
 from aqec._blossom import max_weight_matching
 from aqec.decoders import (
     MajorityDecoder,
@@ -251,6 +251,62 @@ def test_blossom_port_returns_networkx_pairs():
         assert got == sorted(tuple(sorted(p)) for p in want)
         count += 1
     assert count == 2000
+
+
+def _nx_pairs(W) -> list:
+    """networkx 3.6.1's max-cardinality max-weight pairs (i < j), sorted."""
+    import networkx as nx  # the test extra's oracle
+    g = nx.Graph()
+    g.add_nodes_from(range(len(W)))
+    g.add_weighted_edges_from((i, j, W[i][j]) for i in range(len(W)) for j in range(i + 1, len(W)))
+    return sorted(tuple(sorted(p)) for p in nx.max_weight_matching(g, maxcardinality=True))
+
+
+@pytest.mark.parametrize("W", [[], [[0]], [[0, 5], [5, 0]], [[0, 0], [0, 0]],
+                               [[0 if i == j else 3 for j in range(6)] for i in range(6)]],
+                         ids=["m0", "m1", "m2", "m2-zero", "m6-all-tied"])
+def test_blossom_edge_sizes_return_networkx_pairs(W):
+    # the per-m neighbour table and the row-slice maxweight at their smallest
+    # sizes, and a matrix where every edge ties
+    mate = max_weight_matching(W)
+    assert len(mate) == len(W)
+    assert [(i, j) for i, j in enumerate(mate) if j is not None and i < j] == _nx_pairs(W)
+
+
+def test_blossom_min_matching_two_defects():
+    import networkx as nx
+    g = nx.Graph()
+    g.add_weighted_edges_from([(0, 1, 3)])
+    assert _blossom_min_matching([[0, 3], [3, 0]]) == [tuple(sorted(p)) for p in nx.min_weight_matching(g)]
+
+
+@pytest.mark.parametrize("dualvar, message", [
+    ([2, 2, -1], "negative slack"),                    # edge (0, 2): 2 - 1 - 2
+    ([3, 3, 0], "matched edge with nonzero slack"),    # edge (0, 1): 3 + 3 - 4
+    ([2, 2, 1], "single vertex with nonzero dual"),    # vertex 2
+])
+def test_verify_optimum_rejects_a_broken_certificate(dualvar, message):
+    W2 = [[0, 4, 2], [4, 0, 2], [2, 2, 0]]  # 2 * weights: edge (0, 1) weighs 2, the others 1
+    mate = {0: 1, 1: 0}
+    _blossom._verify_optimum(W2, [2, 2, 0], {}, mate)  # the optimal duals pass
+    with pytest.raises(AssertionError, match=message):
+        _blossom._verify_optimum(W2, dualvar, {}, mate)
+
+
+def test_every_matching_runs_one_certificate(monkeypatch):
+    calls = []
+    verify = _blossom._verify_optimum
+    monkeypatch.setattr(_blossom, "_verify_optimum", lambda *a: calls.append(a) or verify(*a))
+    count = 0
+    for W, dist in itertools.islice(_port_instances(), 0, 2000, 100):
+        if dist is None:
+            max_weight_matching(W)
+        else:
+            _blossom_min_matching(dist)
+        count += 1
+        assert len(calls) == count
+    # some of these certificates carry blossom duals
+    assert any(any(z > 0 for z in blossomdual.values()) for _, _, blossomdual, _ in calls)
 
 
 def _recursive_dp_min_matching(dist, last_tie=False) -> list:

@@ -718,6 +718,15 @@ def test_cli_bounds_soft_threshold_small_ratio(tmp_path, capsys):
     assert log_rate(ell - 1) > log_rate(ell) <= log_rate(ell + 1)  # the first minimum
 
 
+@pytest.mark.parametrize("row", ["soft_threshold,1.0,1e200,1.0",     # (1e200)^2 overflows
+                                 "soft_threshold,1e300,1e308,1.0"])  # 1e300 * (1e8)^2 is inf
+def test_cli_bounds_soft_threshold_rate_past_float_range_exits_1(tmp_path, capsys, row):
+    # an OverflowError or an inf rate is an input error, not a traceback or a row
+    grid = _write(tmp_path / "g.csv", f"op,kappa,delta,r0\n{row}\n")
+    assert cli.main(["bounds", "--grid", grid]) == 1
+    assert capsys.readouterr().err.startswith("error: the minimal rate")
+
+
 @pytest.mark.parametrize("t", ["", "-1.0", "nan"])
 def test_cli_bounds_bad_time_exits_1(tmp_path, capsys, t):
     grid = _write(tmp_path / "g.csv",
