@@ -2,8 +2,8 @@
 
 Builds error and recovery generators as structured superoperators, integrates
 rho(t) with an adaptive Runge-Kutta method, constructs recovery channels from
-the Knill-Laflamme data by polar decomposition, and evaluates the recovery
-infidelity and distinguishability loss over sampled logical initial states.
+the Knill-Laflamme data by polar decomposition, and evaluates the worst
+recovery infidelity and distinguishability loss over logical initial states.
 
 Vectorization convention is row-major throughout: vec(A rho B) corresponds to
 kron(A, B.T) acting on rho.reshape(-1).
@@ -32,9 +32,6 @@ __all__ = [
     "kl_matrix",
     "build_recovery",
     "binomial_codewords",
-    "cardinal_directions",
-    "fibonacci_directions",
-    "default_directions",
     "logical_states",
     "epsilon_exact",
     "delta_exact",
@@ -247,7 +244,9 @@ def kl_matrix(codewords, errors) -> tuple:
     """(C, satisfied): C_{mu nu} = <w|K_mu^dag K_nu|w>, codeword-independent.
 
     satisfied is true iff every block W^dag K_mu^dag K_nu W equals C_{mu nu} I
-    on the codespace within tolerance.
+    on the codespace within KL_TOL sqrt(C_{mu mu} C_{nu nu}), the
+    Cauchy-Schwarz bound on |C_{mu nu}|, so the test does not depend on the
+    errors' scale (fig6's ell = 3 blocks reach 8.7e8).
     """
     w = np.column_stack([np.asarray(c, dtype=complex).ravel() for c in codewords])
     gram = w.conj().T @ w
@@ -256,15 +255,13 @@ def kl_matrix(codewords, errors) -> tuple:
     q = w.shape[1]
     m = len(errors)
     kw = [np.asarray(k, dtype=complex) @ w for k in errors]
-    c = np.zeros((m, m), dtype=complex)
-    satisfied = True
+    blocks = [[kw[i].conj().T @ kw[j] for j in range(m)] for i in range(m)]
+    c = np.array([[np.trace(b) / q for b in row] for row in blocks],
+                 dtype=complex).reshape(m, m)
+    scale = np.sqrt(np.abs(c.diagonal()))
     eye = np.eye(q)
-    for i in range(m):
-        for j in range(m):
-            block = kw[i].conj().T @ kw[j]
-            c[i, j] = np.trace(block) / q
-            if np.abs(block - c[i, j] * eye).max() > KL_TOL:
-                satisfied = False
+    satisfied = all(np.abs(blocks[i][j] - c[i, j] * eye).max()
+                    <= KL_TOL * scale[i] * scale[j] for i in range(m) for j in range(m))
     return c, satisfied
 
 
@@ -343,32 +340,23 @@ class TruncatedOscillator:
         return self.adag @ self.a
 
 
-# -- logical-state samplers and the epsilon / delta evaluators ---------------------
-
-
-def cardinal_directions() -> np.ndarray:
-    """The six Bloch axes +-x, +-y, +-z."""
-    return np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0],
-                     [0, -1, 0], [0, 0, 1], [0, 0, -1]], dtype=float)
-
-
-def fibonacci_directions(n: int = 32) -> np.ndarray:
-    """Deterministic Fibonacci sphere grid: z_i = 1 - (2i+1)/n, golden-angle phi."""
-    i = np.arange(n)
-    z = 1.0 - (2 * i + 1.0) / n
-    phi = i * (np.pi * (3.0 - np.sqrt(5.0)))
-    r = np.sqrt(np.clip(1 - z * z, 0, None))
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-
-
-def default_directions(n_fib: int = 32) -> np.ndarray:
-    return np.vstack([cardinal_directions(), fibonacci_directions(n_fib)])
+# -- logical states and the epsilon / delta evaluators -----------------------------
 
 
 def logical_states(codewords, directions) -> np.ndarray:
-    """Pure logical states cos(t/2)|0> + e^{i phi} sin(t/2)|1> for Bloch directions."""
+    """Pure logical states cos(t/2)|0> + e^{i phi} sin(t/2)|1> for Bloch directions.
+
+    directions has shape (m, 3), and each row must be a finite unit vector
+    (within 1e-12).
+    """
     zero, one = (np.asarray(c, dtype=complex).ravel() for c in codewords)
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
+    if directions.ndim != 2 or directions.shape[1] != 3:
+        raise ValueError(f"directions must have shape (m, 3), not {directions.shape}")
+    bad = np.flatnonzero(~(np.abs(np.linalg.norm(directions, axis=1) - 1) <= 1e-12))
+    if bad.size:
+        raise ValueError(f"directions row {bad[0]} ({directions[bad[0]].tolist()}) "
+                         "is not a finite unit vector")
     x, y, z = directions.T
     theta = np.arccos(np.clip(z, -1, 1))
     phi = np.arctan2(y, x)
@@ -386,10 +374,17 @@ def _recovered_outputs(lind, recovery, codewords, times, directions):
 
 def epsilon_exact(lind: Superoperator, recovery: KrausChannel, codewords, times,
                   directions=None) -> np.ndarray:
-    """Worst-case recovery infidelity over the sampled logical states.
+    """Worst-case recovery infidelity over logical initial states.
 
-    epsilon(t) = 1 - min over sampled pure states of <psi| R(rho_psi(t)) |psi>.
-    The default sampler is the 6 cardinal states plus a 32-point Fibonacci grid.
+    epsilon(t) = 1 - min over the Bloch directions n of <psi_n| R(rho_n(t)) |psi_n>.
+    The default directions are the three Pauli axes x, y and z, which is exact
+    whenever the recovered logical channel is a Pauli channel, as it is for a
+    stabilizer recovery under Pauli jumps.  Such a channel maps the Bloch
+    vector n to (l_x n_x, l_y n_y, l_z n_z), so on pure states
+    1 - F(n) = sum_i (1 - l_i) n_i^2 / 2 is linear in (n_x^2, n_y^2, n_z^2).
+    That point ranges over a simplex, so the maximum is at a vertex, an axis,
+    and the sign of n does not enter.  For any other channel pass the
+    directions to minimize over.
     times must be nonempty, finite, nonnegative and nondecreasing.
 
     At t = 0 nothing is integrated, and epsilon(0) = 1 - <psi|R(rho_psi)|psi>
@@ -397,7 +392,7 @@ def epsilon_exact(lind: Superoperator, recovery: KrausChannel, codewords, times,
     ell = 2 channel at cutoff 35 (the first row of fig6_eps_l2_d0.0005.csv).
     """
     if directions is None:
-        directions = default_directions()
+        directions = np.eye(3)
     states, recovered = _recovered_outputs(lind, recovery, codewords, times, directions)
     fid = np.einsum("mi,tmij,mj->tm", states.conj(), recovered, states).real
     return 1.0 - fid.min(axis=1)
@@ -405,13 +400,16 @@ def epsilon_exact(lind: Superoperator, recovery: KrausChannel, codewords, times,
 
 def delta_exact(lind: Superoperator, recovery: KrausChannel, codewords, times,
                 directions=None) -> np.ndarray:
-    """Worst-case distinguishability loss over sampled antipodal pairs.
+    """Worst-case distinguishability loss over antipodal pairs of logical states.
 
-    delta(t) = 1 - min over pairs of the trace distance between the recovered
-    evolutions of two initially orthogonal logical states.
+    delta(t) = 1 - min over the directions n of the trace distance between
+    the recovered evolutions of the orthogonal states at n and -n.  The
+    default directions are the three Pauli axes: for a Pauli channel that
+    distance is |(l_x n_x, l_y n_y, l_z n_z)|, again smallest on an axis
+    (see epsilon_exact).
     """
     if directions is None:
-        directions = default_directions()
+        directions = np.eye(3)
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     both = np.vstack([directions, -directions])
     _, recovered = _recovered_outputs(lind, recovery, codewords, times, both)

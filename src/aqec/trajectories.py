@@ -438,9 +438,9 @@ def estimate_epsilon(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     Per trajectory, error jumps multiply the frame, recovery jumps decode and
     accumulate the logical class, and each readout time applies a fresh final
     recovery.  The estimate at each time is the worst failure probability over
-    the three cardinal initial-state families (Z, X, Y logical bases); the
-    minimization over initial states is approximated by that worst case, which
-    is exact for effective logical Pauli channels.
+    the three Pauli-axis initial-state families (Z, X, Y logical bases).  The
+    recovered logical channel is a Pauli channel, so that worst case is the
+    worst over all initial states (see lindblad.epsilon_exact).
     """
     times, n_samples, rates = _family_rates(code, decoder, noise, params, times,
                                             n_samples, seed, "epsilon", workers)
@@ -461,10 +461,9 @@ def frame_chain_rates(code: StabilizerCode, decoder: Decoder, noise: NoiseModel,
     the readout reads the class after one more recovery, as the walk's does.
 
     For one logical qubit the max over the three rows is epsilon_exact's
-    1 - min over its 38 sampled states.  The recovered logical channel is a
-    Pauli channel, so 1 - F at Bloch vector n is linear in
-    (n_x^2, n_y^2, n_z^2), which ranges over a simplex; its maximum is at a
-    vertex, a cardinal state, and the sampled states hold all six.
+    1 - min over its default Pauli axes, the worst over all initial states
+    for the Pauli channel that the recovered logical channel is (see
+    lindblad.epsilon_exact).
     """
     times = readout_times(times)
     rates = _label_rates(params, noise)

@@ -30,8 +30,7 @@ def test_bench_tracer_installs_and_restores(monkeypatch):
         sz = np.diag([1.0, -1.0]).astype(complex)
         chan = lindblad.KrausChannel((np.eye(2, dtype=complex),))
         lind = lindblad.build_lindbladian([(sz, 0.1)]) + lindblad.recovery_lindbladian(chan, 1.0)
-        lindblad.epsilon_exact(lind, chan, (np.eye(2)[0], np.eye(2)[1]), [0.0, 0.5],
-                               directions=lindblad.cardinal_directions())
+        lindblad.epsilon_exact(lind, chan, (np.eye(2)[0], np.eye(2)[1]), [0.0, 0.5])
         names = {span[0] for span in tracer.spans}
         assert {"lindblad.build_lindbladian", "lindblad.epsilon_exact",
                 "lindblad.Superoperator.apply"} <= names

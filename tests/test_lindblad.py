@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from aqec.decoders import MajorityDecoder, build_lookup
+from aqec.experiments import binomial_error_set
 from aqec.lindblad import (
     KrausChannel,
     TruncatedOscillator,
@@ -10,12 +11,9 @@ from aqec.lindblad import (
     binomial_codewords,
     build_lindbladian,
     build_recovery,
-    cardinal_directions,
     codespace_basis,
-    default_directions,
     delta_exact,
     epsilon_exact,
-    fibonacci_directions,
     kl_matrix,
     logical_states,
     pauli_matrix,
@@ -91,7 +89,7 @@ def test_epsilon_exact_rejects_bad_times():
     for times in ([-1.0], [np.nan], [np.inf], [0.5, np.nan], [1.0, 0.5], []):
         for exact in (epsilon_exact, delta_exact):
             with pytest.raises(ValueError, match="times must be finite"):
-                exact(lind, rec, words, times, directions=cardinal_directions())
+                exact(lind, rec, words, times)
 
 
 def test_pure_recovery_closed_form():
@@ -196,6 +194,15 @@ def test_kl_matrix_rejects_nonorthonormal():
         kl_matrix([v, v], [np.eye(4, dtype=complex)])
 
 
+def test_kl_matrix_scales_each_block():
+    # fig6's full-scale ell = 3 set: blocks reach 8.7e8, so an absolute 1e-9
+    # tolerance read the 2.4e-7 round-off of a KL code as a violation
+    osc = TruncatedOscillator(77)
+    c, ok = kl_matrix(binomial_codewords(3, 77), binomial_error_set(osc, 3))
+    assert ok
+    assert np.abs(c).max() > 1e8
+
+
 def test_recovery_defining_identity_complex_coefficients():
     # R(K_mu rho K_nu^dag) = C_{nu mu} rho, including a complex C to pin the
     # eigenvector conjugation convention
@@ -291,22 +298,22 @@ def test_binomial_recovery_restores_photon_loss():
     assert np.abs(dense @ dense - dense).max() < 1e-8
 
 
-def test_direction_samplers():
-    card = cardinal_directions()
-    assert card.shape == (6, 3)
-    fib = fibonacci_directions(32)
-    assert fib.shape == (32, 3)
-    assert np.allclose(np.linalg.norm(fib, axis=1), 1.0)
-    assert np.array_equal(fib, fibonacci_directions(32))
-    assert default_directions().shape == (38, 3)
-
-
 def test_logical_states_cardinal():
     zero, one = binomial_codewords(1, 21)
     states = logical_states([zero, one], [[0, 0, 1], [0, 0, -1], [1, 0, 0]])
     assert np.allclose(states[0], zero)
     assert np.allclose(states[1], one, atol=1e-15) or np.allclose(np.abs(states[1]), np.abs(one))
     assert np.allclose(states[2], (zero + one) / np.sqrt(2))
+
+
+@pytest.mark.parametrize("directions", [[[1, 0, 0], [0, 0, 0]], [[1, 0, 0], [0, 0, 2]],
+                                        [[1, 0, 0], [np.nan, 0, 1]], [1, 0]])
+def test_logical_states_rejects_malformed_directions(directions):
+    # the first three used to become |+x>, |0> and a NaN state without a word
+    words = binomial_codewords(1, 21)
+    with pytest.raises(ValueError, match=r"directions (row 1 .* not a finite unit vector"
+                                         r"|must have shape \(m, 3\), not \(1, 2\))"):
+        logical_states(words, directions)
 
 
 def _five_qubit_setup(kappa, delta):
@@ -321,10 +328,9 @@ def _five_qubit_setup(kappa, delta):
 def test_epsilon_delta_exact_basics():
     code, rec, lind = _five_qubit_setup(kappa=1.0, delta=1.0 / 15.0)
     words = codespace_basis(code)
-    dirs = cardinal_directions()
     times = [0.0, 0.4, 1.2]
-    eps = epsilon_exact(lind, rec, words, times, directions=dirs)
-    dlt = delta_exact(lind, rec, words, times, directions=dirs)
+    eps = epsilon_exact(lind, rec, words, times)
+    dlt = delta_exact(lind, rec, words, times)
     assert eps[0] == pytest.approx(0.0, abs=1e-8)
     assert dlt[0] == pytest.approx(0.0, abs=1e-8)
     assert np.all(np.diff(eps) > 0)
@@ -336,10 +342,49 @@ def test_epsilon_exact_matches_trajectory_mc():
     code, rec, lind = _five_qubit_setup(kappa=1.0, delta=1.0 / 15.0)
     words = codespace_basis(code)
     times = [0.5, 1.5]
-    eps = epsilon_exact(lind, rec, words, times, directions=cardinal_directions())
+    eps = epsilon_exact(lind, rec, words, times)
     noise = NoiseModel.depolarizing(5)
     params = PoissonParams(kappa=1.0, delta=1.0 / 15.0, n_channels=15)
     mc = estimate_epsilon(code, build_lookup(code), noise, params, times,
                           n_samples=20000, seed=77)
     for i in range(len(times)):
         assert abs(mc.estimate[i] - eps[i]) < 3 * mc.stderr[i] + 1e-12
+
+
+def test_pauli_axes_are_the_worst_states_dense_oracle():
+    # epsilon_exact and delta_exact default to the three Pauli axes.  Under
+    # anisotropic Pauli jumps on the five-qubit code, a dense Bloch grid
+    # propagated by expm of the dense generator finds no state worse than
+    # the worst axis, and the defaults match the axes' expm values
+    code = five_qubit_code()
+    rec = stabilizer_recovery(code, build_lookup(code))
+    rates = {"X": 0.1, "Y": 0.02, "Z": 0.05}
+    jumps = [(pauli_matrix(PauliOperator.single(5, q, letter)), rate)
+             for q in range(5) for letter, rate in rates.items()]
+    lind = build_lindbladian(jumps) + recovery_lindbladian(rec, 1.0)
+    words = codespace_basis(code)
+    theta, phi = np.meshgrid(np.linspace(0, np.pi, 13),
+                             np.linspace(0, 2 * np.pi, 24, endpoint=False))
+    grid = np.column_stack([np.sin(theta).ravel() * np.cos(phi).ravel(),
+                            np.sin(theta).ravel() * np.sin(phi).ravel(),
+                            np.cos(theta).ravel()])
+    states = logical_states(words, np.vstack([np.eye(3), grid]))  # the axes first
+    proj = sum(np.outer(w, w.conj()) for w in words)
+    rho = np.concatenate([np.einsum("mi,mj->mij", states, states.conj()), proj[None]])
+    step = expm(lind.to_dense() * 0.5)
+    times = (0.5, 1.0, 2.0)
+    eps_axes, dlt_axes = [], []
+    for t in times:
+        prop = np.linalg.matrix_power(step, round(t / 0.5))
+        out = rec.apply((rho.reshape(len(rho), -1) @ prop.T).reshape(rho.shape))
+        fid = np.einsum("mi,mij,mj->m", states.conj(), out[:-1], states).real
+        # the state at -n is proj minus the one at n, so the recovered pair
+        # differs by 2 out_n - out_proj
+        dist = np.abs(np.linalg.eigvalsh(2 * out[:-1] - out[-1])).sum(axis=1) / 2
+        assert np.ptp(fid[:3]) > 1e-3  # the axes differ, so the grid check has teeth
+        assert fid[3:].min() >= fid[:3].min() - 1e-12
+        assert dist[3:].min() >= dist[:3].min() - 1e-12
+        eps_axes.append(1 - fid[:3].min())
+        dlt_axes.append(1 - dist[:3].min())
+    assert np.abs(epsilon_exact(lind, rec, words, times) - eps_axes).max() < 1e-7
+    assert np.abs(delta_exact(lind, rec, words, times) - dlt_axes).max() < 1e-7

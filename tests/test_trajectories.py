@@ -676,7 +676,7 @@ def test_estimators_reject_fractional_ell_and_m():
 
 
 def test_frame_chain_matches_lindblad_epsilon_exact():
-    # independent oracle: DOP853 on 38 stacked 32x32 density matrices
+    # independent oracle: DOP853 on the Pauli axes' three stacked 32x32 states
     code = five_qubit_code()
     dec = build_lookup(code)
     noise = NoiseModel.depolarizing(5)
